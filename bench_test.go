@@ -129,11 +129,13 @@ func BenchmarkIdentification(b *testing.B) {
 	b.ReportMetric(acc*100, "acc%")
 }
 
-// benchIdentifySlot times one slot of the §4 identification — XOR,
-// track recovery, candidate sampling, DTW matching — exactly as the
-// campaign engine invokes it: constellation snapshot precomputed and
-// a per-worker matcher reused across iterations.
-func benchIdentifySlot(b *testing.B, brute bool) {
+// BenchmarkIdentifySlot times one slot of the §4 identification —
+// XOR, track recovery, candidate sampling, pruned DTW matching —
+// exactly as the campaign engine invokes it: constellation snapshot
+// precomputed and a per-worker matcher reused across iterations. The
+// pruning speedup over brute-force DTW is measured one layer down, by
+// internal/dtw's BenchmarkRank against BenchmarkMatcherIdentify.
+func BenchmarkIdentifySlot(b *testing.B) {
 	env, _, _ := benchSetup(b)
 	fig3, err := env.Fig3("Iowa")
 	if err != nil {
@@ -148,14 +150,11 @@ func benchIdentifySlot(b *testing.B, brute bool) {
 	slotStart := env.Start().Add(scheduler.Period)
 	snap := env.Cons.Snapshot(slotStart)
 	matcher := &dtw.Matcher{}
-	orig := env.Ident.DisablePruning
-	env.Ident.DisablePruning = brute
-	defer func() { env.Ident.DisablePruning = orig }()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var ident core.Identification
 	for i := 0; i < b.N; i++ {
-		ident, err = env.Ident.IdentifyFromMapsMatcher(fig3.Prev, fig3.Cur, vp, slotStart, snap, matcher)
+		ident, err = env.Ident.IdentifyFromMaps(fig3.Prev, fig3.Cur, vp, slotStart, snap, matcher)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,15 +163,6 @@ func benchIdentifySlot(b *testing.B, brute bool) {
 	b.ReportMetric(ident.Margin, "margin")
 }
 
-// BenchmarkIdentifySlot is the pruned-matcher identification path the
-// campaign uses.
-func BenchmarkIdentifySlot(b *testing.B) { benchIdentifySlot(b, false) }
-
-// BenchmarkIdentifySlotBrute is the same slot through brute-force
-// dtw.Identify; compare ns/op against BenchmarkIdentifySlot for the
-// pruning speedup (the two are bit-identical).
-func BenchmarkIdentifySlotBrute(b *testing.B) { benchIdentifySlot(b, true) }
-
 // benchCampaign times the full non-oracle campaign loop (paint → XOR
 // → DTW per terminal per slot) at a given worker-pool size.
 func benchCampaign(b *testing.B, workers int) {
@@ -180,13 +170,13 @@ func benchCampaign(b *testing.B, workers int) {
 	b.ReportAllocs()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
+		res, err := core.RunCampaignStream(context.Background(), core.CampaignConfig{
 			Scheduler:  env.Sched,
 			Identifier: env.Ident,
 			Start:      env.Start(),
 			Slots:      12,
 			Workers:    workers,
-		})
+		}, func(core.SlotRecord) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -219,14 +209,14 @@ func BenchmarkCampaignParallelTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
+		res, err := core.RunCampaignStream(context.Background(), core.CampaignConfig{
 			Scheduler:  env.Sched,
 			Identifier: env.Ident,
 			Start:      env.Start(),
 			Slots:      12,
 			Workers:    4,
 			Metrics:    m,
-		})
+		}, func(core.SlotRecord) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -413,7 +403,7 @@ func sampleLiveHeap(base uint64, peak *uint64) {
 // at 60 slots and at 10× that, in two sink configurations: "stream"
 // encodes observations record-at-a-time to a discarded JSONL stream
 // and keeps only skip counters, "batch" materializes every record and
-// observation the way CampaignResult does. Both sample the live heap
+// observation in pipeline.Collect sinks. Both sample the live heap
 // (forced GC) at the same fixed cadence as records flow and once
 // after the run with results still reachable. final_live_MB is the
 // headline: flat across the 10× jump for stream — it holds a reorder
@@ -530,7 +520,7 @@ func mod360(v float64) float64 {
 // (warm after the first iteration), so the timed cost is the per-slot
 // visibility work itself: the scheduler's candidate queries plus every
 // terminal's available set.
-func benchFleetCampaign(b *testing.B, n int, disableIndex bool, snapWorkers int) {
+func benchFleetCampaign(b *testing.B, n int, snapWorkers int) {
 	env, _, _ := benchSetup(b)
 	cache := constellation.NewSnapshotCache(0, nil)
 	cache.SetSnapshotWorkers(snapWorkers)
@@ -538,7 +528,6 @@ func benchFleetCampaign(b *testing.B, n int, disableIndex bool, snapWorkers int)
 		Constellation: env.Cons,
 		Terminals:     benchFleetTerminals(n),
 		Seed:          7,
-		DisableIndex:  disableIndex,
 		Snapshots:     cache,
 	})
 	if err != nil {
@@ -546,14 +535,13 @@ func benchFleetCampaign(b *testing.B, n int, disableIndex bool, snapWorkers int)
 	}
 	const slots = 2
 	cfg := core.CampaignConfig{
-		Scheduler:    sched,
-		Identifier:   env.Ident,
-		Start:        env.Start(),
-		Slots:        slots,
-		Oracle:       true,
-		Workers:      1,
-		DisableIndex: disableIndex,
-		Snapshots:    cache,
+		Scheduler:  sched,
+		Identifier: env.Ident,
+		Start:      env.Start(),
+		Slots:      slots,
+		Oracle:     true,
+		Workers:    1,
+		Snapshots:  cache,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -574,34 +562,26 @@ func benchFleetCampaign(b *testing.B, n int, disableIndex bool, snapWorkers int)
 	}
 }
 
-// BenchmarkCampaignFleet is the fleet-scaling acceptance benchmark
-// (ROADMAP item 1): oracle campaigns from 4 terminals to 100k, indexed
-// vs. the linear scan. The headline is records/s staying roughly flat
-// for the indexed engine as the fleet grows — per-slot cost
-// near-O(visible) per terminal — against the linear scan's O(sats) per
-// terminal. Linear stops at 10k (100k × 4k satellite observations per
-// slot is pointlessly slow); outputs are byte-identical either way
-// (TestCampaignFleetIdentical). Record with scripts/bench.sh
-// (BENCH_PR6.json; rerecorded with the zero-alloc snapshot engine as
-// BENCH_PR8.json). The parsnap group is the PR8 ablation: the same
-// indexed campaign with snapshot propagation fanned out across
-// GOMAXPROCS workers — byte-identical output, only the snapshot fill
-// cost moves. On a single-core host it matches indexed/ to within
-// noise; the fan-out needs real cores to show its speedup.
+// BenchmarkCampaignFleet is the fleet-scaling benchmark: indexed
+// oracle campaigns from 4 terminals to 100k. The headline is records/s
+// staying roughly flat as the fleet grows — per-slot cost
+// near-O(visible) per terminal. The index is checked against the
+// linear scan it replaced by internal/constellation's
+// TestIndexMatchesLinearScanProperty. Record with scripts/bench.sh.
+// The parsnap group is an ablation: the same campaign with snapshot
+// propagation fanned out across GOMAXPROCS workers — byte-identical
+// output, only the snapshot fill cost moves. On a single-core host it
+// matches indexed/ to within noise; the fan-out needs real cores to
+// show its speedup.
 func BenchmarkCampaignFleet(b *testing.B) {
 	for _, n := range []int{4, 100, 1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("indexed/terminals=%d", n), func(b *testing.B) {
-			benchFleetCampaign(b, n, false, 1)
-		})
-	}
-	for _, n := range []int{4, 100, 1000, 10000} {
-		b.Run(fmt.Sprintf("linear/terminals=%d", n), func(b *testing.B) {
-			benchFleetCampaign(b, n, true, 1)
+			benchFleetCampaign(b, n, 1)
 		})
 	}
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("parsnap/terminals=%d", n), func(b *testing.B) {
-			benchFleetCampaign(b, n, false, -1)
+			benchFleetCampaign(b, n, -1)
 		})
 	}
 }

@@ -76,7 +76,6 @@ type options struct {
 	traceDepth    int
 	traceOut      string
 	verbose       bool
-	noIndex       bool
 	workerListen  string
 	predictAddr   string
 	recordDelay   time.Duration
@@ -105,7 +104,6 @@ func main() {
 	flag.IntVar(&opt.traceDepth, "trace-decisions", 0, "keep the last n campaign scheduling decisions in a ring")
 	flag.StringVar(&opt.traceOut, "trace-out", "", "write the decision ring as JSONL to this file on exit")
 	flag.BoolVar(&opt.verbose, "v", false, "print the telemetry counter summary on exit")
-	flag.BoolVar(&opt.noIndex, "no-index", false, "disable the spatial visibility index (ablation; identical results, linear scans)")
 	flag.StringVar(&opt.workerListen, "worker-listen", "", "run as a campaign worker serving shards on this address (no experiment argument)")
 	flag.StringVar(&opt.predictAddr, "predict-addr", "", "drift: stream slots to a running predictd at this address instead of an in-process model")
 	flag.DurationVar(&opt.recordDelay, "record-delay", 0, "worker mode: throttle record production (fault-injection hook)")
@@ -115,7 +113,7 @@ func main() {
 	flag.StringVar(&opt.coordOut, "coord-out", "", "dist: write the merged record stream as JSONL to this file")
 	flag.Parse()
 	// Ctrl-C aborts the campaign loop cleanly: the context threads down
-	// into core.RunCampaign, which discards the partial run and returns.
+	// into core.RunCampaignStream, which stops the run and returns.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if opt.workerListen != "" {
@@ -346,7 +344,7 @@ func run(ctx context.Context, what string, opt options) error {
 	env, err := experiments.NewEnv(experiments.Config{
 		Scale: experiments.Scale(opt.scale), Seed: opt.seed, Workers: opt.workers,
 		SnapshotWorkers: opt.snapWorkers,
-		Telemetry:       reg, TraceDecisions: traceDepth, DisableIndex: opt.noIndex,
+		Telemetry:       reg, TraceDecisions: traceDepth,
 	})
 	if err != nil {
 		return err
@@ -495,7 +493,6 @@ func runScenario(ctx context.Context, spec *scenario.Spec, opt options, reg *tel
 	built, err := spec.Build(scenario.BuildOptions{
 		Telemetry:       reg,
 		TraceDecisions:  traceDepth,
-		DisableIndex:    opt.noIndex,
 		Workers:         opt.workers,
 		SnapshotWorkers: opt.snapWorkers,
 	})
@@ -846,7 +843,7 @@ func runIdent(env *experiments.Env, dir string) error {
 		if err != nil {
 			return err
 		}
-		cands := env.Ident.CandidatePolarTracks(term.VantagePoint, slot)
+		cands := env.Ident.CandidatePolarTracksFromSnapshot(env.Ident.Snapshot(slot), term.VantagePoint, slot)
 		plot, err := skyplot.Validation(400, observed, cands, a.SatID)
 		if err != nil {
 			return err

@@ -55,8 +55,10 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// §4: XOR + pixel decode + DTW match, using only public data.
-		ident, err := env.Ident.IdentifyFromMaps(prev, dish, iowa.VantagePoint, slot)
+		// §4: XOR + pixel decode + DTW match, using only public data:
+		// the candidates come from the public-TLE snapshot at slot.
+		snap := env.Ident.Snapshot(slot)
+		ident, err := env.Ident.IdentifyFromMaps(prev, dish, iowa.VantagePoint, slot, snap, nil)
 		if err != nil {
 			fmt.Printf("slot %2d: identification failed: %v\n", i, err)
 			continue
@@ -89,7 +91,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cands := env.Ident.CandidatePolarTracks(iowa.VantagePoint, slot)
+		cands := env.Ident.CandidatePolarTracksFromSnapshot(env.Ident.Snapshot(slot), iowa.VantagePoint, slot)
 		plot, err := skyplot.Validation(400, observed, cands, lastAlloc.SatID)
 		if err != nil {
 			log.Fatal(err)
@@ -106,13 +108,14 @@ func main() {
 	}
 
 	// The packaged campaign runs the same loop at scale, with 10-minute
-	// resets, and reports the §4 validation numbers.
-	res, err := core.RunCampaign(context.Background(), core.CampaignConfig{
+	// resets, and reports the §4 validation numbers; the records stream
+	// through emit, and the summary keeps the counters.
+	res, err := core.RunCampaignStream(context.Background(), core.CampaignConfig{
 		Scheduler:  env.Sched,
 		Identifier: env.Ident,
 		Start:      start.Add(time.Hour),
 		Slots:      50,
-	})
+	}, func(core.SlotRecord) error { return nil })
 	if err != nil {
 		log.Fatal(err)
 	}

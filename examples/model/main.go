@@ -33,12 +33,8 @@ func main() {
 	// Peek at one observation's features: the model sees the local hour
 	// plus how many available satellites fall in each z-score cluster.
 	o := obs[0]
-	sats := make([]features.Sat, len(o.Available))
-	for i, a := range o.Available {
-		sats[i] = features.Sat{AzimuthDeg: a.AzimuthDeg, ElevationDeg: a.ElevationDeg, AgeYears: a.AgeYears, Sunlit: a.Sunlit}
-	}
-	slot, err := features.Cluster(sats)
-	if err != nil {
+	var slot features.Slot
+	if err := features.ClusterInto(&slot, core.AppendFeatureSats(nil, o.Available)); err != nil {
 		log.Fatal(err)
 	}
 	chosen, _ := o.Chosen()

@@ -178,9 +178,8 @@ type Constellation struct {
 	byID  map[int]*Satellite
 	Epoch time.Time // TLE epoch shared by all satellites
 
-	// SnapshotWorkers is the default fan-out for Snapshot /
-	// SnapshotSkipped (see SnapshotInto): 0 selects GOMAXPROCS, 1
-	// forces the serial sweep. Output is byte-identical at every
+	// SnapshotWorkers is the default fan-out for Snapshot (see
+	// SnapshotInto): 0 selects GOMAXPROCS, 1 forces the serial sweep. Output is byte-identical at every
 	// value. Set before concurrent use.
 	SnapshotWorkers int
 
@@ -375,20 +374,14 @@ type SatState struct {
 // Snapshot propagates the whole constellation once for time t.
 // Satellites whose propagation fails (decayed/stale elements) are
 // skipped, mirroring how a TLE pipeline tolerates bad elements — but
-// counted, not silently dropped: SnapshotSkipped returns the per-call
+// counted, not silently dropped: SnapshotInto returns the per-call
 // skip count and PropagationSkips accumulates the running total plus
 // the first error per distinct failing satellite. Use ObserveFrom to
 // query the same snapshot from several observers without
 // re-propagating.
 func (c *Constellation) Snapshot(t time.Time) []SatState {
-	out, _ := c.SnapshotSkipped(t)
+	out, _ := c.SnapshotInto(nil, t, c.SnapshotWorkers)
 	return out
-}
-
-// SnapshotSkipped is Snapshot plus the number of satellites dropped
-// from this snapshot because their propagation failed.
-func (c *Constellation) SnapshotSkipped(t time.Time) ([]SatState, int) {
-	return c.SnapshotInto(nil, t, c.SnapshotWorkers)
 }
 
 // snapshotChunk is the unit of work a snapshot worker claims at a
@@ -442,9 +435,10 @@ type snapSkip struct {
 	msg string
 }
 
-// SnapshotInto is SnapshotSkipped writing into dst (grown as needed —
-// pass a recycled slice to make the steady-state slot loop
-// allocation-free) with an explicit worker count. The slot-invariant
+// SnapshotInto is Snapshot writing into dst (grown as needed — pass a
+// recycled slice to make the steady-state slot loop allocation-free)
+// with an explicit worker count, plus the number of satellites dropped
+// from this snapshot because their propagation failed. The slot-invariant
 // work — the TEME→ECEF rotation frame and the Sun-shadow cone — is
 // hoisted out of the per-satellite loop, and with workers > 1 the
 // sweep fans out over a bounded pool that writes by satellite index,

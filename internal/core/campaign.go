@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/constellation"
@@ -53,10 +51,6 @@ type CampaignConfig struct {
 	// scheduler.Config.Snapshots so each slot propagates once globally.
 	// Nil creates a private cache.
 	Snapshots *constellation.SnapshotCache
-	// DisableIndex computes available sets with the linear scan instead
-	// of the spatial index (ablation / equivalence testing). Records are
-	// byte-identical either way.
-	DisableIndex bool
 	// Shard restricts record production and emission to the contiguous
 	// terminal index range [Shard.Lo, Shard.Hi) in Terminals() order.
 	// The scheduler still runs the FULL fleet every slot — it is
@@ -137,67 +131,6 @@ type SlotRecord struct {
 	SkipReason string
 }
 
-// CampaignResult aggregates a run.
-type CampaignResult struct {
-	Records []SlotRecord
-	// Identification validation (non-oracle runs).
-	Attempted, Correct, Failed int
-	// Skips histograms the non-empty SkipReasons across Records.
-	Skips map[string]int
-
-	obsOnce sync.Once
-	obs     []Observation
-}
-
-// Accuracy returns the identification accuracy over attempted slots.
-func (r *CampaignResult) Accuracy() float64 {
-	if r.Attempted == 0 {
-		return 0
-	}
-	return float64(r.Correct) / float64(r.Attempted)
-}
-
-// Observations extracts the per-slot observations with a valid chosen
-// satellite, ready for the §5 analyses and §6 model. The slice is
-// built once and cached — repeated calls return the same backing
-// array, so treat it as read-only.
-func (r *CampaignResult) Observations() []Observation {
-	r.obsOnce.Do(func() {
-		r.obs = make([]Observation, 0, len(r.Records))
-		for _, rec := range r.Records {
-			if rec.ChosenIdx >= 0 {
-				r.obs = append(r.obs, rec.Observation)
-			}
-		}
-	})
-	return r.obs
-}
-
-// RunCampaign executes the campaign and materializes every record —
-// the batch entry point, now a thin wrapper over RunCampaignStream
-// (which long campaigns should use directly: it runs in O(1) memory
-// in the slot count). Long campaigns are cancellable through ctx; on
-// cancellation the partial result is discarded and ctx's error
-// returned.
-func RunCampaign(ctx context.Context, cfg CampaignConfig) (*CampaignResult, error) {
-	res := &CampaignResult{}
-	if cfg.Slots > 0 && cfg.Scheduler != nil {
-		res.Records = make([]SlotRecord, 0, cfg.Slots*len(cfg.Scheduler.Terminals()))
-	}
-	stats, err := RunCampaignStream(ctx, cfg, func(rec SlotRecord) error {
-		res.Records = append(res.Records, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Attempted = stats.Attempted
-	res.Correct = stats.Correct
-	res.Failed = stats.Failed
-	res.Skips = stats.Skips
-	return res, nil
-}
-
 // slotScratch is per-worker reusable buffer space for the slot loop:
 // the field-of-view sweep appends into fov instead of growing a fresh
 // slice per (slot, terminal) cell. Owned by exactly one goroutine.
@@ -216,11 +149,7 @@ type slotScratch struct {
 func runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstruction.Map,
 	matcher *dtw.Matcher, scratch *slotScratch, slotStart time.Time, shared *constellation.SharedSnapshot,
 	alloc scheduler.Allocation, attempted, correct, failed *int) SlotRecord {
-	if cfg.DisableIndex {
-		scratch.fov = constellation.AppendObserveFrom(scratch.fov[:0], term.VantagePoint.Location, shared.States, cfg.Identifier.MinElevationDeg)
-	} else {
-		scratch.fov = shared.Index().AppendObserveFrom(scratch.fov[:0], term.VantagePoint.Location, cfg.Identifier.MinElevationDeg)
-	}
+	scratch.fov = shared.Index().AppendObserveFrom(scratch.fov[:0], term.VantagePoint.Location, cfg.Identifier.MinElevationDeg)
 	avail := availFromFov(scratch.fov, slotStart)
 	rec := SlotRecord{
 		Observation: Observation{
@@ -248,7 +177,7 @@ func runSlotTerminal(cfg *CampaignConfig, term scheduler.Terminal, m *obstructio
 			rec.SkipReason = err.Error()
 			break
 		}
-		ident, err := cfg.Identifier.IdentifyFromMapsMatcher(prev, m, term.VantagePoint, slotStart, shared.States, matcher)
+		ident, err := cfg.Identifier.IdentifyFromMaps(prev, m, term.VantagePoint, slotStart, shared.States, matcher)
 		if err != nil {
 			rec.SkipReason = err.Error()
 			*failed++

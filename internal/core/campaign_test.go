@@ -24,6 +24,40 @@ func campaignCfg(t *testing.T, seed int64, workers int, oracle bool) CampaignCon
 	}
 }
 
+// campaignRun is a campaign's full output: every emitted record plus
+// the stream summary.
+type campaignRun struct {
+	*CampaignStats
+	Records []SlotRecord
+}
+
+// collectCampaign runs cfg through RunCampaignStream and keeps every
+// emitted record.
+func collectCampaign(ctx context.Context, cfg CampaignConfig) (*campaignRun, error) {
+	run := &campaignRun{}
+	stats, err := RunCampaignStream(ctx, cfg, func(rec SlotRecord) error {
+		run.Records = append(run.Records, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	run.CampaignStats = stats
+	return run, nil
+}
+
+// observations returns the served records' observations, the §5/§6
+// input rows.
+func (r *campaignRun) observations() []Observation {
+	var obs []Observation
+	for _, rec := range r.Records {
+		if rec.ChosenIdx >= 0 {
+			obs = append(obs, rec.Observation)
+		}
+	}
+	return obs
+}
+
 // TestParallelCampaignMatchesSerial is the determinism guarantee for
 // the worker-pool engine: record order, record content, and the
 // accuracy counters must match the serial run exactly, at several
@@ -32,12 +66,12 @@ func campaignCfg(t *testing.T, seed int64, workers int, oracle bool) CampaignCon
 func TestParallelCampaignMatchesSerial(t *testing.T) {
 	setupFixture(t)
 	for _, oracle := range []bool{true, false} {
-		serial, err := RunCampaign(context.Background(), campaignCfg(t, 99, 1, oracle))
+		serial, err := collectCampaign(context.Background(), campaignCfg(t, 99, 1, oracle))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 4, 8} {
-			par, err := RunCampaign(context.Background(), campaignCfg(t, 99, workers, oracle))
+			par, err := collectCampaign(context.Background(), campaignCfg(t, 99, workers, oracle))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +101,7 @@ func TestCampaignCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err := RunCampaign(ctx, campaignCfg(t, 5, workers, true))
+		res, err := collectCampaign(ctx, campaignCfg(t, 5, workers, true))
 		if err != context.Canceled {
 			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -86,7 +120,7 @@ func TestCampaignMidRunCancellation(t *testing.T) {
 	cfg.Slots = 200
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunCampaign(ctx, cfg)
+		_, err := collectCampaign(ctx, cfg)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -58,7 +58,7 @@ func setupFixture(t testing.TB) {
 		if err != nil {
 			panic(err)
 		}
-		res, err := RunCampaign(context.Background(), CampaignConfig{
+		res, err := collectCampaign(context.Background(), CampaignConfig{
 			Scheduler:  sched,
 			Identifier: ident,
 			Start:      cons.Epoch.Add(time.Hour),
@@ -71,7 +71,7 @@ func setupFixture(t testing.TB) {
 		fixture.cons = cons
 		fixture.sched = sched
 		fixture.ident = ident
-		fixture.obs = res.Observations()
+		fixture.obs = res.observations()
 	})
 	if len(fixture.obs) == 0 {
 		t.Skip("fixture produced no observations")
@@ -80,13 +80,13 @@ func setupFixture(t testing.TB) {
 
 func TestCampaignValidation(t *testing.T) {
 	setupFixture(t)
-	if _, err := RunCampaign(context.Background(), CampaignConfig{}); err == nil {
+	if _, err := collectCampaign(context.Background(), CampaignConfig{}); err == nil {
 		t.Error("nil scheduler accepted")
 	}
-	if _, err := RunCampaign(context.Background(), CampaignConfig{Scheduler: fixture.sched}); err == nil {
+	if _, err := collectCampaign(context.Background(), CampaignConfig{Scheduler: fixture.sched}); err == nil {
 		t.Error("nil identifier accepted")
 	}
-	if _, err := RunCampaign(context.Background(), CampaignConfig{Scheduler: fixture.sched, Identifier: fixture.ident}); err == nil {
+	if _, err := collectCampaign(context.Background(), CampaignConfig{Scheduler: fixture.sched, Identifier: fixture.ident}); err == nil {
 		t.Error("zero slots accepted")
 	}
 }
@@ -124,7 +124,7 @@ func TestOracleObservationsShape(t *testing.T) {
 // (the paper's pilot study agreed with manual inspection >99%).
 func TestIdentificationAccuracy(t *testing.T) {
 	setupFixture(t)
-	res, err := RunCampaign(context.Background(), CampaignConfig{
+	res, err := collectCampaign(context.Background(), CampaignConfig{
 		Scheduler:  mustScheduler(t, fixture.cons, 77),
 		Identifier: fixture.ident,
 		Start:      fixture.cons.Epoch.Add(2 * time.Hour),
@@ -288,7 +288,8 @@ func TestCandidatePolarTracks(t *testing.T) {
 	setupFixture(t)
 	vp := fixture.sched.Terminals()[0].VantagePoint
 	start := fixture.cons.Epoch.Add(3 * time.Hour)
-	tracks := fixture.ident.CandidatePolarTracks(vp, scheduler.EpochStart(start))
+	slot := scheduler.EpochStart(start)
+	tracks := fixture.ident.CandidatePolarTracksFromSnapshot(fixture.ident.Snapshot(slot), vp, slot)
 	if len(tracks) == 0 {
 		t.Fatal("no candidate tracks")
 	}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -37,75 +35,6 @@ func fleetTerminals(n int) []scheduler.Terminal {
 		}, Priority: 1})
 	}
 	return terms
-}
-
-// TestCampaignFleetIdentical is the tentpole acceptance check: an
-// indexed campaign must emit byte-identical records to the unindexed
-// one, at every worker count, with and without a shared snapshot
-// cache. Records are compared as encoded JSONL bytes, not structs, so
-// even a float formatting difference would fail.
-func TestCampaignFleetIdentical(t *testing.T) {
-	setupFixture(t)
-	run := func(disableIndex bool, workers int, share bool) []byte {
-		terms := fleetTerminals(40)
-		var cache *constellation.SnapshotCache
-		if share {
-			cache = constellation.NewSnapshotCache(0, nil)
-		}
-		sched, err := scheduler.NewGlobal(scheduler.Config{
-			Constellation: fixture.cons,
-			Terminals:     terms,
-			Seed:          123,
-			DisableIndex:  disableIndex,
-			Snapshots:     cache,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := CampaignConfig{
-			Scheduler:    sched,
-			Identifier:   fixture.ident,
-			Start:        fixture.cons.Epoch.Add(3 * time.Hour),
-			Slots:        8,
-			Oracle:       true,
-			Workers:      workers,
-			DisableIndex: disableIndex,
-			Snapshots:    cache,
-		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		stats, err := RunCampaignStream(context.Background(), cfg, func(rec SlotRecord) error {
-			return enc.Encode(rec)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Records != cfg.Slots*len(terms) {
-			t.Fatalf("emitted %d records, want %d", stats.Records, cfg.Slots*len(terms))
-		}
-		return buf.Bytes()
-	}
-
-	baseline := run(true, 1, false) // linear scan, serial: the reference
-	cases := []struct {
-		name         string
-		disableIndex bool
-		workers      int
-		share        bool
-	}{
-		{"indexed serial", false, 1, false},
-		{"indexed serial shared-cache", false, 1, true},
-		{"indexed parallel-4", false, 4, false},
-		{"indexed parallel-4 shared-cache", false, 4, true},
-		{"linear parallel-4", true, 4, false},
-	}
-	for _, c := range cases {
-		got := run(c.disableIndex, c.workers, c.share)
-		if !bytes.Equal(got, baseline) {
-			t.Fatalf("%s: records not byte-identical to the linear serial run (%d vs %d bytes)",
-				c.name, len(got), len(baseline))
-		}
-	}
 }
 
 // brokenEph always fails, standing in for decayed elements.

@@ -26,12 +26,6 @@ type Identifier struct {
 	// UseNaiveMatcher switches to the nearest-endpoint ablation
 	// baseline instead of DTW.
 	UseNaiveMatcher bool
-	// DisablePruning routes matching through the brute-force
-	// dtw.Identify instead of the pruned dtw.Matcher. The two are
-	// bit-identical by construction; the knob exists so that guarantee
-	// stays testable end to end (see TestCampaignMatcherBruteIdentical)
-	// and to time the unpruned baseline.
-	DisablePruning bool
 }
 
 // NewIdentifier builds an identifier over public TLE data.
@@ -49,21 +43,16 @@ func (id *Identifier) Snapshot(t time.Time) []constellation.SatState {
 	return id.cons.Snapshot(t)
 }
 
-// CandidateTracks samples the projected sky-track of every satellite
-// in the terminal's field of view over the slot. The second return is
-// the number of in-view candidates dropped because propagation failed
-// mid-slot; a dropped candidate is distinguishable from one that was
-// simply below the mask all slot, because the (possibly true) serving
-// satellite may be among the dropped.
-func (id *Identifier) CandidateTracks(vp geo.VantagePoint, slotStart time.Time) ([]dtw.Candidate, int) {
-	return id.CandidateTracksFromSnapshot(id.cons.Snapshot(slotStart), vp, slotStart)
-}
-
-// CandidateTracksFromSnapshot is CandidateTracks over a precomputed
-// constellation snapshot for slotStart. The campaign engine shares one
-// snapshot per slot across terminals and workers, which removes the
-// full-constellation re-propagation from the hot identification loop;
-// the output is identical to CandidateTracks.
+// CandidateTracksFromSnapshot samples the projected sky-track of every
+// satellite in the terminal's field of view over the slot, reading the
+// field of view from snap, the constellation snapshot at slotStart.
+// The campaign engine shares one snapshot per slot across terminals
+// and workers, so the hot identification loop never re-propagates the
+// full constellation. The second return is the number of in-view
+// candidates dropped because propagation failed mid-slot; a dropped
+// candidate is distinguishable from one that was simply below the mask
+// all slot, because the (possibly true) serving satellite may be among
+// the dropped.
 func (id *Identifier) CandidateTracksFromSnapshot(snap []constellation.SatState, vp geo.VantagePoint, slotStart time.Time) ([]dtw.Candidate, int) {
 	fov := constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)
 	cands := make([]dtw.Candidate, 0, len(fov))
@@ -82,20 +71,12 @@ func (id *Identifier) CandidateTracksFromSnapshot(snap []constellation.SatState,
 	return cands, dropped
 }
 
-// CandidatePolarTracks returns every in-view satellite's sky-track
-// over the slot in polar form, keyed by satellite ID — the input for
-// skyplot.Validation, the §4 manual-check rendering.
-func (id *Identifier) CandidatePolarTracks(vp geo.VantagePoint, slotStart time.Time) map[int][]obstruction.PolarPoint {
-	return id.CandidatePolarTracksFromSnapshot(id.cons.Snapshot(slotStart), vp, slotStart)
-}
-
-// CandidatePolarTracksFromSnapshot is CandidatePolarTracks over a
-// precomputed constellation snapshot for slotStart, mirroring the rest
-// of the identify path: the field of view comes from the shared
-// snapshot and each in-view satellite is propagated across the slot
-// exactly once, instead of re-propagating the full constellation in
-// FieldOfView and then each satellite again through ServingTrack's
-// ID lookup. The output is identical to CandidatePolarTracks.
+// CandidatePolarTracksFromSnapshot returns every in-view satellite's
+// sky-track over the slot in polar form, keyed by satellite ID — the
+// input for skyplot.Validation, the §4 manual-check rendering. Like
+// CandidateTracksFromSnapshot it reads the field of view from snap,
+// the constellation snapshot at slotStart, and propagates each in-view
+// satellite across the slot exactly once.
 func (id *Identifier) CandidatePolarTracksFromSnapshot(snap []constellation.SatState, vp geo.VantagePoint, slotStart time.Time) map[int][]obstruction.PolarPoint {
 	fov := constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)
 	out := make(map[int][]obstruction.PolarPoint, len(fov))
@@ -181,25 +162,13 @@ type Identification struct {
 }
 
 // IdentifyFromMaps runs the full §4 pipeline on two consecutive
-// obstruction-map snapshots.
-func (id *Identifier) IdentifyFromMaps(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time) (Identification, error) {
-	return id.IdentifyFromMapsSnapshot(prev, cur, vp, slotStart, nil)
-}
-
-// IdentifyFromMapsSnapshot is IdentifyFromMaps with an optional
-// precomputed constellation snapshot for slotStart (nil propagates one
-// internally). Results are identical either way.
-func (id *Identifier) IdentifyFromMapsSnapshot(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, snap []constellation.SatState) (Identification, error) {
-	return id.IdentifyFromMapsMatcher(prev, cur, vp, slotStart, snap, nil)
-}
-
-// IdentifyFromMapsMatcher is IdentifyFromMapsSnapshot with an optional
-// reusable dtw.Matcher (nil uses a fresh one). The campaign engine
-// passes one matcher per worker so its scratch buffers and pruning
-// bars amortize across the whole run; results are bit-identical at
-// every choice of matcher, including the brute-force path selected by
-// DisablePruning.
-func (id *Identifier) IdentifyFromMapsMatcher(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, snap []constellation.SatState, matcher *dtw.Matcher) (Identification, error) {
+// obstruction-map snapshots: XOR them, list the candidates in view in
+// snap (the constellation snapshot at slotStart, see Snapshot), and
+// match them by DTW through matcher. A nil matcher uses a fresh one;
+// the campaign engine passes one per worker so its scratch buffers and
+// pruning bars amortize across the whole run. Pruning is exact, so the
+// result does not depend on the matcher's history.
+func (id *Identifier) IdentifyFromMaps(prev, cur *obstruction.Map, vp geo.VantagePoint, slotStart time.Time, snap []constellation.SatState, matcher *dtw.Matcher) (Identification, error) {
 	diff := obstruction.XOR(prev, cur)
 	track := diff.Track()
 	if len(track) < 2 {
@@ -207,9 +176,6 @@ func (id *Identifier) IdentifyFromMapsMatcher(prev, cur *obstruction.Map, vp geo
 			slotStart, vp.Name, len(track))
 	}
 	observed := dtw.FromPolarTrack(track)
-	if snap == nil {
-		snap = id.cons.Snapshot(slotStart)
-	}
 	cands, dropped := id.CandidateTracksFromSnapshot(snap, vp, slotStart)
 	if len(cands) == 0 {
 		return Identification{}, fmt.Errorf("core: slot %v at %s: no candidate satellites in view (%d dropped by propagation errors)", slotStart, vp.Name, dropped)
@@ -224,17 +190,10 @@ func (id *Identifier) IdentifyFromMapsMatcher(prev, cur *obstruction.Map, vp geo
 		out.Distance = m.Distance
 		return out, nil
 	}
-	var best dtw.Match
-	var margin float64
-	var err error
-	if id.DisablePruning {
-		best, margin, err = dtw.Identify(observed, cands)
-	} else {
-		if matcher == nil {
-			matcher = &dtw.Matcher{}
-		}
-		best, margin, err = matcher.Identify(observed, cands)
+	if matcher == nil {
+		matcher = &dtw.Matcher{}
 	}
+	best, margin, err := matcher.Identify(observed, cands)
 	if err != nil {
 		return Identification{}, fmt.Errorf("core: dtw match at %s: %w", vp.Name, err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -15,87 +14,37 @@ import (
 	"repro/internal/sgp4"
 )
 
-// TestCampaignMatcherBruteIdentical is the end-to-end exactness
-// regression for the pruned matcher: two same-seed campaigns — one
-// through the dtw.Matcher cascade, one through brute-force
-// dtw.Identify — must produce byte-identical records and counters.
-// Combined with TestParallelCampaignMatchesSerial this pins the whole
-// matrix: {serial, parallel} × {pruned, brute} all agree.
-func TestCampaignMatcherBruteIdentical(t *testing.T) {
-	setupFixture(t)
-	brute, err := NewIdentifier(fixture.cons)
-	if err != nil {
-		t.Fatal(err)
-	}
-	brute.DisablePruning = true
-
-	run := func(ident *Identifier, workers int) *CampaignResult {
-		t.Helper()
-		res, err := RunCampaign(context.Background(), CampaignConfig{
-			Scheduler:  mustScheduler(t, fixture.cons, 123),
-			Identifier: ident,
-			Start:      fixture.cons.Epoch.Add(4 * time.Hour),
-			Slots:      24,
-			ResetEvery: 10,
-			Workers:    workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := run(brute, 1)
-	for _, workers := range []int{1, 4} {
-		got := run(fixture.ident, workers)
-		if got.Attempted != want.Attempted || got.Correct != want.Correct || got.Failed != want.Failed {
-			t.Errorf("workers=%d: pruned counters (%d,%d,%d) != brute (%d,%d,%d)",
-				workers, got.Attempted, got.Correct, got.Failed,
-				want.Attempted, want.Correct, want.Failed)
-		}
-		if len(got.Records) != len(want.Records) {
-			t.Fatalf("workers=%d: %d records != brute %d", workers, len(got.Records), len(want.Records))
-		}
-		for i := range want.Records {
-			if !reflect.DeepEqual(got.Records[i], want.Records[i]) {
-				t.Fatalf("workers=%d: record %d differs:\npruned: %+v\nbrute:  %+v",
-					workers, i, got.Records[i], want.Records[i])
-			}
-		}
-	}
-	if want.Attempted == 0 {
-		t.Fatal("regression campaign attempted no identifications")
-	}
-}
-
-// TestCandidateTracksSnapshotReuse: feeding a precomputed snapshot
-// must be indistinguishable from letting the identifier propagate the
-// constellation itself, for both the Cartesian and the polar track
-// paths.
+// TestCandidateTracksSnapshotReuse: a snapshot shared through the
+// campaign engine's SnapshotCache must give the same candidates as a
+// fresh Identifier.Snapshot, the one live captures take, for both the
+// Cartesian and the polar track paths.
 func TestCandidateTracksSnapshotReuse(t *testing.T) {
 	setupFixture(t)
 	vp := fixture.sched.Terminals()[0].VantagePoint
 	start := scheduler.EpochStart(fixture.cons.Epoch.Add(3 * time.Hour))
-	snap := fixture.cons.Snapshot(start)
+	fresh := fixture.ident.Snapshot(start)
+	shared := constellation.NewSnapshotCache(0, nil).Acquire(fixture.cons, start)
+	defer shared.Release()
 
-	plain, droppedPlain := fixture.ident.CandidateTracks(vp, start)
-	fromSnap, droppedSnap := fixture.ident.CandidateTracksFromSnapshot(snap, vp, start)
-	if droppedPlain != droppedSnap {
-		t.Errorf("dropped: plain %d != snapshot %d", droppedPlain, droppedSnap)
+	plain, droppedPlain := fixture.ident.CandidateTracksFromSnapshot(fresh, vp, start)
+	fromCache, droppedCache := fixture.ident.CandidateTracksFromSnapshot(shared.States, vp, start)
+	if droppedPlain != droppedCache {
+		t.Errorf("dropped: fresh %d != shared %d", droppedPlain, droppedCache)
 	}
 	if len(plain) == 0 {
 		t.Fatal("no candidates in view at the probe slot")
 	}
-	if !reflect.DeepEqual(plain, fromSnap) {
-		t.Error("CandidateTracksFromSnapshot differs from CandidateTracks")
+	if !reflect.DeepEqual(plain, fromCache) {
+		t.Error("candidate tracks differ between a fresh and a shared snapshot")
 	}
 
-	polarPlain := fixture.ident.CandidatePolarTracks(vp, start)
-	polarSnap := fixture.ident.CandidatePolarTracksFromSnapshot(snap, vp, start)
+	polarPlain := fixture.ident.CandidatePolarTracksFromSnapshot(fresh, vp, start)
+	polarCache := fixture.ident.CandidatePolarTracksFromSnapshot(shared.States, vp, start)
 	if len(polarPlain) == 0 {
 		t.Fatal("no polar candidate tracks at the probe slot")
 	}
-	if !reflect.DeepEqual(polarPlain, polarSnap) {
-		t.Error("CandidatePolarTracksFromSnapshot differs from CandidatePolarTracks")
+	if !reflect.DeepEqual(polarPlain, polarCache) {
+		t.Error("polar candidate tracks differ between a fresh and a shared snapshot")
 	}
 }
 
@@ -215,7 +164,7 @@ func TestDroppedCandidatesSurfaced(t *testing.T) {
 		})
 	}
 	cur.PaintTrack(fake)
-	_, err = ident.IdentifyFromMapsSnapshot(prev, cur, vp, slotStart, snap)
+	_, err = ident.IdentifyFromMaps(prev, cur, vp, slotStart, snap, nil)
 	if err == nil {
 		t.Fatal("identification succeeded with every candidate dropped")
 	}

@@ -19,6 +19,7 @@ import (
 type DatasetBuilder struct {
 	d    *ml.Dataset
 	sats []features.Sat // scratch, reused across Adds
+	slot features.Slot  // scratch, reused across Adds
 }
 
 // NewDatasetBuilder returns an empty builder.
@@ -31,26 +32,35 @@ func (b *DatasetBuilder) Add(o Observation) error {
 	if _, ok := o.Chosen(); !ok {
 		return nil
 	}
-	b.sats = b.sats[:0]
-	for _, a := range o.Available {
-		b.sats = append(b.sats, features.Sat{
+	b.sats = AppendFeatureSats(b.sats[:0], o.Available)
+	if err := features.ClusterInto(&b.slot, b.sats); err != nil {
+		return fmt.Errorf("core: slot %v at %s: %w", o.SlotStart, o.Terminal, err)
+	}
+	key, err := b.slot.KeyOf(o.ChosenIdx)
+	if err != nil {
+		return fmt.Errorf("core: slot %v at %s: %w", o.SlotStart, o.Terminal, err)
+	}
+	vec := make([]float64, features.VectorLen)
+	if err := b.slot.VectorInto(o.LocalHour, vec); err != nil {
+		return err
+	}
+	b.d.X = append(b.d.X, vec)
+	b.d.Y = append(b.d.Y, key.Index())
+	return nil
+}
+
+// AppendFeatureSats appends the featurizer's view of an available set
+// to dst.
+func AppendFeatureSats(dst []features.Sat, avail []SatObs) []features.Sat {
+	for _, a := range avail {
+		dst = append(dst, features.Sat{
 			AzimuthDeg:   a.AzimuthDeg,
 			ElevationDeg: a.ElevationDeg,
 			AgeYears:     a.AgeYears,
 			Sunlit:       a.Sunlit,
 		})
 	}
-	slot, err := features.Cluster(b.sats)
-	if err != nil {
-		return fmt.Errorf("core: slot %v at %s: %w", o.SlotStart, o.Terminal, err)
-	}
-	key, err := slot.KeyOf(o.ChosenIdx)
-	if err != nil {
-		return fmt.Errorf("core: slot %v at %s: %w", o.SlotStart, o.Terminal, err)
-	}
-	b.d.X = append(b.d.X, slot.Vector(o.LocalHour))
-	b.d.Y = append(b.d.Y, key.Index())
-	return nil
+	return dst
 }
 
 // Rows reports how many usable observations have been folded in.
@@ -230,20 +240,15 @@ func TrainModelCtx(ctx context.Context, d *ml.Dataset, cfg ModelConfig) (*ModelR
 // indices in descending likelihood, so a caller can check whether the
 // eventually chosen satellite's cluster is in the top k.
 func PredictAllocation(forest *ml.Forest, o *Observation) ([]features.Key, error) {
-	sats := make([]features.Sat, len(o.Available))
-	for i, a := range o.Available {
-		sats[i] = features.Sat{
-			AzimuthDeg:   a.AzimuthDeg,
-			ElevationDeg: a.ElevationDeg,
-			AgeYears:     a.AgeYears,
-			Sunlit:       a.Sunlit,
-		}
-	}
-	slot, err := features.Cluster(sats)
-	if err != nil {
+	var slot features.Slot
+	if err := features.ClusterInto(&slot, AppendFeatureSats(nil, o.Available)); err != nil {
 		return nil, err
 	}
-	ranked, err := ml.ForestRanker{Forest: forest}.RankClasses(slot.Vector(o.LocalHour))
+	vec := make([]float64, features.VectorLen)
+	if err := slot.VectorInto(o.LocalHour, vec); err != nil {
+		return nil, err
+	}
+	ranked, err := ml.ForestRanker{Forest: forest}.RankClasses(vec)
 	if err != nil {
 		return nil, err
 	}

@@ -29,11 +29,9 @@ type CampaignStats struct {
 	// Served counts records with a valid chosen satellite — the rows
 	// the §5/§6 analyses consume.
 	Served int
-	// Identification validation counters (non-oracle runs), identical
-	// to the batch CampaignResult's.
+	// Identification validation counters (non-oracle runs).
 	Attempted, Correct, Failed int
-	// Skips histograms every non-empty SkipReason, surfacing what the
-	// batch path used to discard silently.
+	// Skips histograms every non-empty SkipReason.
 	Skips map[string]int
 	// PropagationSkips counts satellites dropped from snapshots by
 	// propagation failures, summed over slots (a persistently failing
@@ -70,8 +68,8 @@ func (s *CampaignStats) observe(rec *SlotRecord) {
 }
 
 // RunCampaignStream executes the campaign, pushing each SlotRecord to
-// emit in deterministic (slot, terminal) order — the exact sequence
-// the batch RunCampaign materializes — without retaining records. With
+// emit in deterministic (slot, terminal) order without retaining
+// records: callers that need them all collect them in emit. With
 // cfg.Workers > 1 the concurrent engine runs behind a bounded reorder
 // window, so steady-state memory is O(workers × terminals), not
 // O(slots): campaigns far larger than memory stream through.
@@ -101,8 +99,7 @@ func RunCampaignStream(ctx context.Context, cfg CampaignConfig, emit EmitFunc) (
 }
 
 // prepareCampaign validates the config, applies defaults, and resolves
-// the worker count. Shared by the streaming engine and the batch
-// wrapper so the two cannot diverge on validation.
+// the worker count for both engines.
 func prepareCampaign(cfg *CampaignConfig) ([]scheduler.Terminal, int, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, 0, err
@@ -196,7 +193,7 @@ func streamSerial(ctx context.Context, cfg CampaignConfig, terms []scheduler.Ter
 }
 
 // streamParallel is the concurrent streaming engine. Division of
-// labor, building on the batch parallel engine's invariants:
+// labor:
 //
 //   - The producer runs the scheduler serially in slot order — the
 //     controller is stateful (hidden load walk, score-noise RNG), so

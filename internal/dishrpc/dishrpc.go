@@ -36,6 +36,11 @@ import (
 // memory.
 const MaxFrame = 1 << 20
 
+// frameChunk is the body buffer a frame starts with. Frames up to this
+// size are read in one allocation; larger ones grow the buffer as
+// their bytes arrive, so a header alone never pins more than this.
+const frameChunk = 64 << 10
+
 // ErrProtocol reports a malformed frame or message.
 var ErrProtocol = errors.New("dishrpc: protocol error")
 
@@ -180,14 +185,37 @@ func readFrame(r io.Reader, v any) error {
 	if n > MaxFrame {
 		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(n))
+	if err != nil {
 		return fmt.Errorf("dishrpc: read body: %w", err)
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("%w: bad json: %v", ErrProtocol, err)
 	}
 	return nil
+}
+
+// readBody reads exactly n bytes. The buffer starts at frameChunk and
+// doubles as bytes arrive instead of trusting the header up front: a
+// peer that claims MaxFrame and then stalls or hangs up costs
+// frameChunk, not MaxFrame.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	body := make([]byte, min(n, frameChunk))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, body[got:])
+		got += m
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF // truncated at a chunk boundary
+		}
+		if err != nil {
+			return nil, err
+		}
+		if got == n {
+			return body, nil
+		}
+		body = append(body, make([]byte, min(n-got, len(body)))...)
+	}
 }
 
 // Handler answers one request: it receives the method name and raw

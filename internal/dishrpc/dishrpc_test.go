@@ -7,8 +7,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -590,6 +592,45 @@ func TestConcurrentClientStress(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestReadFrameHeaderAllocBounded: a header claiming MaxFrame followed
+// by a few bytes and a hang-up must not cost MaxFrame of memory. The
+// body buffer grows with the bytes that actually arrive.
+func TestReadFrameHeaderAllocBounded(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame)
+	data := append(hdr[:], "0123456789"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var out request
+	err := readFrame(bytes.NewReader(data), &out)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want a truncated-body error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 256<<10 {
+		t.Errorf("truncated MaxFrame header allocated %d bytes, want < %d", alloc, 256<<10)
+	}
+}
+
+// TestReadFrameLargeBody: frames past the first buffer chunk still
+// arrive whole, at and just past the chunk boundary and at MaxFrame.
+func TestReadFrameLargeBody(t *testing.T) {
+	for _, n := range []int{frameChunk - 40, frameChunk + 1, 3*frameChunk + 7, MaxFrame - 40} {
+		params := `"` + strings.Repeat("x", n-2) + `"`
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, &request{ID: 1, Method: "m", Params: json.RawMessage(params)}); err != nil {
+			t.Fatal(err)
+		}
+		var out request
+		if err := readFrame(&buf, &out); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if string(out.Params) != params {
+			t.Fatalf("n=%d: params corrupted (%d bytes back)", n, len(out.Params))
 		}
 	}
 }

@@ -121,10 +121,6 @@ type Config struct {
 	// TraceDecisions, when > 0, records the last N campaign decisions
 	// into a telemetry.DecisionTrace ring (Env.Trace).
 	TraceDecisions int
-	// DisableIndex forces linear visibility scans instead of the
-	// spatial index (ablation / equivalence checks). Results are
-	// identical either way.
-	DisableIndex bool
 }
 
 // Env is a ready-to-run reproduction environment.
@@ -149,9 +145,6 @@ type Env struct {
 	// campaign this environment runs, so each slot propagates (and
 	// indexes) the constellation once globally.
 	Snaps *constellation.SnapshotCache
-	// DisableIndex forces linear visibility scans everywhere (ablation;
-	// results are identical, only slower).
-	DisableIndex bool
 }
 
 // Trace returns the decision-trace ring, nil when tracing is off.
@@ -217,7 +210,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		Seed:              cfg.Seed,
 		Telemetry:         cfg.Telemetry,
 		Snapshots:         snaps,
-		DisableIndex:      cfg.DisableIndex,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: build scheduler: %w", err)
@@ -231,7 +223,7 @@ func NewEnv(cfg Config) (*Env, error) {
 	}
 	e := &Env{Cons: cons, Sched: sched, Ident: ident, Terminals: terms, Seed: cfg.Seed,
 		Workers: cfg.Workers, Telemetry: cfg.Telemetry,
-		Snaps: snaps, DisableIndex: cfg.DisableIndex}
+		Snaps: snaps}
 	e.Metrics = core.NewCampaignMetrics(cfg.Telemetry)
 	if cfg.TraceDecisions > 0 {
 		if e.Metrics == nil {
@@ -459,14 +451,13 @@ func (e *Env) IdentValidation(slots int, naive bool) (*IdentResult, error) {
 	ident := *e.Ident
 	ident.UseNaiveMatcher = naive
 	src := &pipeline.Campaign{Config: core.CampaignConfig{
-		Scheduler:    e.Sched,
-		Identifier:   &ident,
-		Start:        e.Start(),
-		Slots:        slots,
-		Workers:      e.Workers,
-		Metrics:      e.Metrics,
-		Snapshots:    e.Snaps,
-		DisableIndex: e.DisableIndex,
+		Scheduler:  e.Sched,
+		Identifier: &ident,
+		Start:      e.Start(),
+		Slots:      slots,
+		Workers:    e.Workers,
+		Metrics:    e.Metrics,
+		Snapshots:  e.Snaps,
 	}}
 	var margins []float64
 	p := &pipeline.Pipeline{
@@ -502,15 +493,14 @@ func (e *Env) CampaignSource(slots int, oracle bool) *pipeline.Campaign {
 		slots = 500
 	}
 	return &pipeline.Campaign{Config: core.CampaignConfig{
-		Scheduler:    e.Sched,
-		Identifier:   e.Ident,
-		Start:        e.Start(),
-		Slots:        slots,
-		Oracle:       oracle,
-		Workers:      e.Workers,
-		Metrics:      e.Metrics,
-		Snapshots:    e.Snaps,
-		DisableIndex: e.DisableIndex,
+		Scheduler:  e.Sched,
+		Identifier: e.Ident,
+		Start:      e.Start(),
+		Slots:      slots,
+		Oracle:     oracle,
+		Workers:    e.Workers,
+		Metrics:    e.Metrics,
+		Snapshots:  e.Snaps,
 	}}
 }
 

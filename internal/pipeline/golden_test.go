@@ -39,11 +39,31 @@ func goldenCfg(env *experiments.Env, slots, workers int, oracle bool) core.Campa
 	}
 }
 
+// engineRecords runs a campaign straight through the engine, outside
+// any pipeline, and keeps every record plus the served observations.
+func engineRecords(t *testing.T, cfg core.CampaignConfig) ([]core.SlotRecord, []core.Observation, *core.CampaignStats) {
+	t.Helper()
+	var recs []core.SlotRecord
+	var obs []core.Observation
+	stats, err := core.RunCampaignStream(context.Background(), cfg, func(rec core.SlotRecord) error {
+		recs = append(recs, rec)
+		if rec.ChosenIdx >= 0 {
+			obs = append(obs, rec.Observation)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs, obs, stats
+}
+
 // TestPipelineMatchesBatchGolden is the acceptance gate for the
 // streaming refactor: on a fixed seed, at worker counts 1 and 4, the
 // pipeline's record stream, campaign counters, and every incremental
-// analyzer must be bit-identical to the batch path (core.RunCampaign
-// followed by the slice analyzers). Run under -race in CI.
+// analyzer must be bit-identical to the batch path (the engine's
+// records collected outside the pipeline, then the slice analyzers).
+// Run under -race in CI.
 func TestPipelineMatchesBatchGolden(t *testing.T) {
 	for _, tc := range []struct {
 		oracle bool
@@ -59,11 +79,7 @@ func TestPipelineMatchesBatchGolden(t *testing.T) {
 			t.Run(fmt.Sprintf("oracle=%v/workers=%d", tc.oracle, workers), func(t *testing.T) {
 				// Batch reference.
 				envB := goldenEnv(t, workers)
-				batch, err := core.RunCampaign(context.Background(), goldenCfg(envB, tc.slots, workers, tc.oracle))
-				if err != nil {
-					t.Fatal(err)
-				}
-				obs := batch.Observations()
+				records, obs, batch := engineRecords(t, goldenCfg(envB, tc.slots, workers, tc.oracle))
 
 				// Streaming pipeline on an identical fresh environment,
 				// fanning one pass into every incremental consumer.
@@ -93,8 +109,8 @@ func TestPipelineMatchesBatchGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				if !reflect.DeepEqual(collect.Records, batch.Records) {
-					t.Fatal("pipeline record stream diverges from batch RunCampaign")
+				if !reflect.DeepEqual(collect.Records, records) {
+					t.Fatal("pipeline record stream diverges from the engine's")
 				}
 				streams[workers] = collect.Records
 
@@ -110,13 +126,13 @@ func TestPipelineMatchesBatchGolden(t *testing.T) {
 				if !reflect.DeepEqual(stats.Skips, batch.Skips) {
 					t.Errorf("stream skip histogram %v, batch %v", stats.Skips, batch.Skips)
 				}
-				if stats.Records != len(batch.Records) || stats.Served != len(obs) {
+				if stats.Records != len(records) || stats.Served != len(obs) {
 					t.Errorf("stream saw %d records / %d served, batch %d / %d",
-						stats.Records, stats.Served, len(batch.Records), len(obs))
+						stats.Records, stats.Served, len(records), len(obs))
 				}
-				if counts.Total != len(batch.Records) || counts.Served != len(obs) {
+				if counts.Total != len(records) || counts.Served != len(obs) {
 					t.Errorf("sink counted %d records / %d served, batch %d / %d",
-						counts.Total, counts.Served, len(batch.Records), len(obs))
+						counts.Total, counts.Served, len(records), len(obs))
 				}
 
 				if len(obs) == 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dtw"
 	"repro/internal/obstruction"
 	"repro/internal/scheduler"
 )
@@ -73,6 +74,7 @@ func (l *Live) Stream(ctx context.Context, emit func(Record) error) error {
 	vp := l.Terminal.VantagePoint
 	start := scheduler.EpochStart(l.Start)
 	prev := obstruction.New()
+	matcher := &dtw.Matcher{}
 	for slot := 0; slot < l.Slots; slot++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -102,7 +104,7 @@ func (l *Live) Stream(ctx context.Context, emit func(Record) error) error {
 				ChosenIdx: -1,
 			},
 		}
-		ident, err := l.Ident.IdentifyFromMapsSnapshot(prev, cur, vp, slotStart, snap)
+		ident, err := l.Ident.IdentifyFromMaps(prev, cur, vp, slotStart, snap, matcher)
 		if err != nil {
 			rec.SkipReason = err.Error()
 		} else {

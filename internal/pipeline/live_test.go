@@ -68,7 +68,7 @@ func TestLiveMatchesCampaign(t *testing.T) {
 
 	// Ground-truth reference: the campaign engine on a fresh env.
 	envB := liveEnv(t)
-	batch, err := core.RunCampaign(context.Background(), core.CampaignConfig{
+	records, _, _ := engineRecords(t, core.CampaignConfig{
 		Scheduler:  envB.Sched,
 		Identifier: envB.Ident,
 		Start:      envB.Start(),
@@ -76,11 +76,8 @@ func TestLiveMatchesCampaign(t *testing.T) {
 		ResetEvery: resetEvery,
 		Workers:    1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Records) != slots {
-		t.Fatalf("campaign produced %d records, want %d", len(batch.Records), slots)
+	if len(records) != slots {
+		t.Fatalf("campaign produced %d records, want %d", len(records), slots)
 	}
 
 	// Live capture against an identical fresh env, seen only through
@@ -110,7 +107,7 @@ func TestLiveMatchesCampaign(t *testing.T) {
 
 	attempted := 0
 	for i, live := range collect.Records {
-		ref := batch.Records[i]
+		ref := records[i]
 		if live.TrueID != 0 {
 			t.Fatalf("slot %d: live capture leaked ground truth (TrueID=%d)", i, live.TrueID)
 		}

@@ -9,9 +9,8 @@
 // The defining property is that no step materializes the stream: the
 // source, the bounded hand-off channel, and every shipped sink hold
 // O(1) state in the record count, so a campaign millions of slots long
-// runs, persists, and re-analyzes in constant memory. The batch
-// entry points (core.RunCampaign, the slice-taking analyzers) remain
-// as thin wrappers over the same machinery.
+// runs, persists, and re-analyzes in constant memory. The slice-taking
+// analyzers remain as thin wrappers over the same accumulators.
 package pipeline
 
 import (

@@ -1,8 +1,7 @@
 package pipeline
 
 // ChosenOnly keeps records with an identified chosen satellite — the
-// rows the §5 analyses and the §6 model consume, matching
-// core.CampaignResult.Observations semantics.
+// rows the §5 analyses and the §6 model consume.
 func ChosenOnly() Stage {
 	return func(rec *Record) (bool, error) {
 		return rec.ChosenIdx >= 0, nil

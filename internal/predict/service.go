@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/ml"
 	"repro/internal/pipeline"
@@ -282,15 +283,7 @@ func (s *Service) ObserveRecord(rec *pipeline.Record) (pipeline.ScoreUpdate, err
 
 	sc := s.pool.Get().(*Scratch)
 	defer s.pool.Put(sc)
-	sc.sats = sc.sats[:0]
-	for _, a := range obs.Available {
-		sc.sats = append(sc.sats, features.Sat{
-			AzimuthDeg:   a.AzimuthDeg,
-			ElevationDeg: a.ElevationDeg,
-			AgeYears:     a.AgeYears,
-			Sunlit:       a.Sunlit,
-		})
-	}
+	sc.sats = core.AppendFeatureSats(sc.sats[:0], obs.Available)
 	if err := features.ClusterInto(&sc.slot, sc.sats); err != nil {
 		return pipeline.ScoreUpdate{}, fmt.Errorf("predict: slot %v at %s: %w", obs.SlotStart, obs.Terminal, err)
 	}

@@ -17,8 +17,6 @@ type BuildOptions struct {
 	Telemetry *telemetry.Registry
 	// TraceDecisions > 0 records the last N campaign decisions.
 	TraceDecisions int
-	// DisableIndex forces linear visibility scans (ablation).
-	DisableIndex bool
 	// Workers / SnapshotWorkers override the spec's campaign values
 	// when non-zero (CLI flags beat the file; results are identical
 	// at every value, only the cost changes).
@@ -89,7 +87,6 @@ func (s *Spec) EnvConfig(opt BuildOptions) (experiments.Config, error) {
 		SnapshotWorkers:       snapWorkers,
 		Telemetry:             opt.Telemetry,
 		TraceDecisions:        opt.TraceDecisions,
-		DisableIndex:          opt.DisableIndex,
 	}, nil
 }
 
@@ -129,15 +126,14 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 // bit-identical record stream.
 func (b *Built) CampaignConfig() core.CampaignConfig {
 	return core.CampaignConfig{
-		Scheduler:    b.Env.Sched,
-		Identifier:   b.Env.Ident,
-		Start:        b.Env.Start(),
-		Slots:        b.Slots,
-		Oracle:       b.Oracle,
-		ResetEvery:   b.ResetEvery,
-		Workers:      b.Env.Workers,
-		Metrics:      b.Env.Metrics,
-		Snapshots:    b.Env.Snaps,
-		DisableIndex: b.Env.DisableIndex,
+		Scheduler:  b.Env.Sched,
+		Identifier: b.Env.Ident,
+		Start:      b.Env.Start(),
+		Slots:      b.Slots,
+		Oracle:     b.Oracle,
+		ResetEvery: b.ResetEvery,
+		Workers:    b.Env.Workers,
+		Metrics:    b.Env.Metrics,
+		Snapshots:  b.Env.Snaps,
 	}
 }

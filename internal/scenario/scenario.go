@@ -105,6 +105,27 @@ type TerminalsSpec struct {
 	Random []RandomSpec `json:"random,omitempty"`
 }
 
+// MaxTerminals bounds the fleet one spec may place, so lowering an
+// untrusted spec never allocates an unbounded terminal list.
+const MaxTerminals = 1_000_000
+
+// placed counts the explicit, grid and random terminals the section
+// asks for, capped at MaxTerminals+1 so huge shapes cannot overflow.
+// Non-positive shapes count zero; Validate reports them separately.
+func (t *TerminalsSpec) placed() int {
+	const over = MaxTerminals + 1
+	n := min(len(t.Sites), over)
+	for _, g := range t.Grids {
+		if g.Rows > 0 && g.Cols > 0 {
+			n = min(n+min(g.Rows, over)*min(g.Cols, over), over)
+		}
+	}
+	for _, r := range t.Random {
+		n = min(n+min(max(r.Count, 0), over), over)
+	}
+	return n
+}
+
 // SiteSpec is one explicit terminal site.
 type SiteSpec struct {
 	Name   string  `json:"name"`
@@ -444,6 +465,9 @@ func (s *Spec) epoch() (time.Time, error) {
 // scatters.
 func (s *Spec) VantagePoints() ([]geo.VantagePoint, error) {
 	t := &s.Terminals
+	if t.placed() > MaxTerminals {
+		return nil, fmt.Errorf("scenario: terminals place more than %d sites", MaxTerminals)
+	}
 	var vps []geo.VantagePoint
 	switch t.Preset {
 	case "":
@@ -573,6 +597,9 @@ func (s *Spec) Validate() error {
 		if err := r.Region.region().Validate(); err != nil {
 			bad("random %q: %v", r.Prefix, err)
 		}
+	}
+	if s.Terminals.placed() > MaxTerminals {
+		bad("terminals place more than %d sites", MaxTerminals)
 	}
 	if vps, err := s.VantagePoints(); err == nil {
 		seen := make(map[string]bool, len(vps))

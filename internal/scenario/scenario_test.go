@@ -58,6 +58,29 @@ func TestParseRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// TestTerminalCountBounded: a spec asking for more than MaxTerminals
+// terminals is rejected before any placement allocates them, with
+// overflowing grid shapes saturating rather than wrapping.
+func TestTerminalCountBounded(t *testing.T) {
+	region := `"region": {"lat_min_deg": 0, "lat_max_deg": 10, "lon_min_deg": 0, "lon_max_deg": 10}`
+	for _, terms := range []string{
+		`{"random": [{"prefix": "r", "count": 2000000000, ` + region + `}]}`,
+		`{"grids": [{"prefix": "g", "rows": 4294967296, "cols": 4294967296, ` + region + `}]}`,
+		`{"random": [{"prefix": "a", "count": 600000, ` + region + `}, {"prefix": "b", "count": 600000, ` + region + `}]}`,
+	} {
+		_, err := scenario.Parse(strings.NewReader(`{
+			"version": 1, "name": "x", "seed": 1,
+			"constellation": {"preset": "kepler"},
+			"terminals": ` + terms + `,
+			"scheduler": {},
+			"campaign": {"slots": 10, "oracle": true}
+		}`))
+		if err == nil || !strings.Contains(err.Error(), "more than") {
+			t.Errorf("%s: err = %v, want the terminal limit", terms, err)
+		}
+	}
+}
+
 // TestValidateReportsEveryError is the multi-error contract: one
 // validation round surfaces every problem, not just the first.
 func TestValidateReportsEveryError(t *testing.T) {

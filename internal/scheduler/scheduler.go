@@ -155,10 +155,6 @@ type Config struct {
 	// engine's cache so each slot propagates once globally. Nil creates
 	// a private cache.
 	Snapshots *constellation.SnapshotCache
-	// DisableIndex forces the linear visibility scan instead of the
-	// spatial index (ablation / equivalence testing). Results are
-	// identical either way; only the cost changes.
-	DisableIndex bool
 }
 
 // Global is the ground-truth global controller.
@@ -171,7 +167,6 @@ type Global struct {
 	noGSO   bool
 	rng     *rand.Rand
 	snaps   *constellation.SnapshotCache
-	noIndex bool
 
 	// load is hidden per-satellite background utilization in [0,1],
 	// re-drawn smoothly each slot. It is intentionally unobservable to
@@ -230,7 +225,6 @@ func NewGlobal(cfg Config) (*Global, error) {
 		load:    make(map[int]float64, cfg.Constellation.Len()),
 		metrics: NewMetrics(cfg.Telemetry),
 		snaps:   cfg.Snapshots,
-		noIndex: cfg.DisableIndex,
 	}
 	if g.snaps == nil {
 		g.snaps = constellation.NewSnapshotCache(0, cfg.Telemetry)
@@ -374,29 +368,13 @@ func (g *Global) refreshGSVisibility(slot int64, shared *constellation.SharedSna
 		g.gsVisible = nil // constraint disabled
 		return
 	}
-	snap := shared.States
-	g.gsVisible = make(map[int]bool, len(snap))
-	if !g.noIndex {
-		// Set semantics make per-gateway index queries equivalent to the
-		// satellite-outer scan: a satellite is marked iff some gateway
-		// sees it above the mask.
-		ix := shared.Index()
-		for _, gs := range g.groundStations {
-			ix.MarkVisibleIDs(gs, g.gsMinElev, g.gsVisible)
-		}
-		return
-	}
-	observers := make([]astro.Observer, len(g.groundStations))
-	for i, gs := range g.groundStations {
-		observers[i] = astro.NewObserver(gs)
-	}
-	for _, st := range snap {
-		for i := range observers {
-			if observers[i].Observe(st.ECEF).ElevationDeg >= g.gsMinElev {
-				g.gsVisible[st.Sat.ID] = true
-				break
-			}
-		}
+	g.gsVisible = make(map[int]bool, len(shared.States))
+	// Set semantics make per-gateway index queries equivalent to a
+	// satellite-outer scan: a satellite is marked iff some gateway sees
+	// it above the mask.
+	ix := shared.Index()
+	for _, gs := range g.groundStations {
+		ix.MarkVisibleIDs(gs, g.gsMinElev, g.gsVisible)
 	}
 }
 
@@ -408,12 +386,7 @@ func (g *Global) refreshGSVisibility(slot int64, shared *constellation.SharedSna
 // whatever buffers are passed, so scores are bit-identical.
 func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candidate,
 	term Terminal, shared *constellation.SharedSnapshot) ([]constellation.Visible, []Candidate) {
-	var fov []constellation.Visible
-	if g.noIndex {
-		fov = constellation.AppendObserveFrom(fovBuf[:0], term.Location, shared.States, g.minElev)
-	} else {
-		fov = shared.Index().AppendObserveFrom(fovBuf[:0], term.Location, g.minElev)
-	}
+	fov := shared.Index().AppendObserveFrom(fovBuf[:0], term.Location, g.minElev)
 	recencyDen := g.newest.Sub(g.oldest).Hours()
 	if recencyDen <= 0 {
 		recencyDen = 1

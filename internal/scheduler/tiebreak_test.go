@@ -1,6 +1,9 @@
 package scheduler
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -83,37 +86,66 @@ func TestAllocateScoreTieBreak(t *testing.T) {
 	}
 }
 
-// TestAllocateIndexedMatchesLinear pins the tentpole determinism
-// contract at the scheduler layer: two identically seeded controllers,
-// one using the spatial index and one the linear scan, must produce
-// identical allocations slot after slot.
+// linearAllocDigest is the sha256 of the JSON-encoded allocations
+// below as produced by the linear visibility scan (the scheduler's
+// reference path before the spatial index became the only one).
+const linearAllocDigest = "c4b5d49c6f73b3fec228b4474ef138d99e511bbfe1ceaffad2431bee509c6f88"
+
+// TestAllocateIndexedMatchesLinear pins the determinism contract at
+// the scheduler layer: the indexed controller must reproduce the
+// linear scan's allocations slot after slot. Every chosen satellite is
+// cross-checked against a linear scan of the same instant, and the
+// whole allocation stream against the linear path's digest.
 func TestAllocateIndexedMatchesLinear(t *testing.T) {
-	build := func(disableIndex bool) *Global {
-		g, err := NewGlobal(Config{
-			Constellation: testConstellation(t),
-			Terminals:     testTerminals(),
-			Seed:          11,
-			DisableIndex:  disableIndex,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
+	cons := testConstellation(t)
+	terms := testTerminals()
+	g, err := NewGlobal(Config{
+		Constellation: cons,
+		Terminals:     terms,
+		Seed:          11,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	indexed := build(false)
-	linear := build(true)
+	locs := make(map[string]astro.Geodetic, len(terms))
+	for _, term := range terms {
+		locs[term.Name] = term.Location
+	}
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	served := 0
 	start := time.Date(2023, 3, 1, 12, 0, 12, 0, time.UTC)
 	for slot := 0; slot < 12; slot++ {
 		at := start.Add(time.Duration(slot) * Period)
-		a := indexed.Allocate(at)
-		b := linear.Allocate(at)
-		if len(a) != len(b) {
-			t.Fatalf("slot %d: %d vs %d allocations", slot, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("slot %d terminal %s: indexed %+v != linear %+v", slot, a[i].Terminal, a[i], b[i])
+		snap := cons.Snapshot(at)
+		for _, a := range g.Allocate(at) {
+			if err := enc.Encode(a); err != nil {
+				t.Fatal(err)
+			}
+			if a.SatID == 0 {
+				continue
+			}
+			served++
+			var found bool
+			for _, v := range constellation.ObserveFrom(locs[a.Terminal], snap, 25) {
+				if v.Sat.ID != a.SatID {
+					continue
+				}
+				found = true
+				if v.Look.ElevationDeg != a.ElevationDeg || v.Look.AzimuthDeg != a.AzimuthDeg ||
+					v.Look.RangeKm != a.RangeKm || v.Sunlit != a.Sunlit {
+					t.Fatalf("slot %d terminal %s: indexed %+v != linear %+v", slot, a.Terminal, a, v)
+				}
+			}
+			if !found {
+				t.Fatalf("slot %d terminal %s: satellite %d not in the linear field of view", slot, a.Terminal, a.SatID)
 			}
 		}
+	}
+	if served == 0 {
+		t.Fatal("no terminal was served")
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != linearAllocDigest {
+		t.Errorf("allocation digest = %s, want %s", got, linearAllocDigest)
 	}
 }

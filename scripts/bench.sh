@@ -21,12 +21,12 @@
 # baseline. The internal/telemetry record-path benchmarks must report
 # 0 allocs/op for CounterInc and HistogramObserve.
 #
-# PR6 adds the fleet-scaling sweep (BenchmarkCampaignFleet): oracle
-# campaigns from 4 to 100k terminals, spatial index vs. linear scan
-# (BENCH_PR6.json). Acceptance: indexed records/s roughly flat as the
-# fleet grows, and >= 10x the linear scan's at 10k terminals. The
-# sweep always runs at -benchtime=2x — each iteration is a whole
-# campaign, and the 100k-terminal variants take minutes each.
+# The fleet-scaling sweep (BenchmarkCampaignFleet) runs indexed oracle
+# campaigns from 4 to 100k terminals. Acceptance: records/s roughly
+# flat as the fleet grows. Older BENCH files also carry linear-scan
+# rows, measured with a campaign path since removed. The sweep always
+# runs at -benchtime=2x — each iteration is a whole campaign, and the
+# 100k-terminal variants take minutes each.
 #
 # PR10 adds the online-inference serve benchmark
 # (BenchmarkPredictServe, BENCH_PR10.json): one Rank call against a
