@@ -586,6 +586,31 @@ func BenchmarkCampaignFleet(b *testing.B) {
 	}
 }
 
+// BenchmarkSchedulerSetup times scheduler.NewGlobal for a synthetic
+// fleet: per-terminal GSO exclusion geometry, the load walk seed and
+// the battery fleet. BenchmarkCampaignFleet builds its scheduler
+// outside its timer, so this is where fleet set-up cost shows.
+func BenchmarkSchedulerSetup(b *testing.B) {
+	env, _, _ := benchSetup(b)
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("terminals=%d", n), func(b *testing.B) {
+			terms := benchFleetTerminals(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := scheduler.NewGlobal(scheduler.Config{
+					Constellation: env.Cons,
+					Terminals:     terms,
+					Seed:          7,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/terminal")
+		})
+	}
+}
+
 // BenchmarkSchedulerAllocate measures one global allocation round
 // (4 terminals) including the constellation snapshot.
 func BenchmarkSchedulerAllocate(b *testing.B) {

@@ -109,3 +109,43 @@ func TestCampaignMatcherBruteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// protectionDigests pins the 40-terminal 8-slot oracle fleet run at
+// GSO protection half-angles other than the default, so a change to
+// the exclusion geometry that happens to agree at 18° cannot slip
+// through. Recorded from the per-belt-point acos scan that the geo
+// package's TestGSOSeparationMatchesOracle keeps as its oracle.
+var protectionDigests = map[float64]string{
+	2:  "2f62f2050bf10893033a628822831a9f8608999590c5341c088488e94d081aaf",
+	30: "c9c7907459ddf13cc7716d367acf117549b64950704c9175f0ca29a712f1f3f6",
+}
+
+// TestCampaignGSOProtectionDigest runs the fleet fixture at each
+// pinned protection angle and checks the stream digest.
+func TestCampaignGSOProtectionDigest(t *testing.T) {
+	setupFixture(t)
+	for _, deg := range []float64{2, 30} {
+		t.Run(fmt.Sprintf("protection=%g", deg), func(t *testing.T) {
+			sched, err := scheduler.NewGlobal(scheduler.Config{
+				Constellation:    fixture.cons,
+				Terminals:        fleetTerminals(40),
+				Seed:             123,
+				GSOProtectionDeg: deg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := streamDigest(t, CampaignConfig{
+				Scheduler:  sched,
+				Identifier: fixture.ident,
+				Start:      fixture.cons.Epoch.Add(3 * time.Hour),
+				Slots:      8,
+				Oracle:     true,
+				Workers:    1,
+			})
+			if want := protectionDigests[deg]; got != want {
+				t.Errorf("digest = %s, want %s", got, want)
+			}
+		})
+	}
+}

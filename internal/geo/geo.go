@@ -164,33 +164,53 @@ const (
 	DefaultGSOProtectionDeg = 18.0
 )
 
+// gsoBeltSamples is the number of belt points: one per whole degree
+// of longitude.
+const gsoBeltSamples = 360
+
+// gsoBelt holds the ECEF positions of the sampled geostationary belt,
+// at longitudes -180, -179, ..., 179. It depends only on constants, so
+// it is computed once per process instead of once per site.
+var gsoBelt = func() (belt [gsoBeltSamples]units.Vec3) {
+	for i := range belt {
+		belt[i] = astro.Geodetic{LatDeg: 0, LonDeg: float64(i - 180), AltKm: GSOAltKm}.ToECEF()
+	}
+	return belt
+}()
+
 // GSOExclusion evaluates the geostationary-arc avoidance constraint
 // for one observer site. Construct once per site and reuse; the belt
 // is sampled at construction.
 type GSOExclusion struct {
 	protectionDeg float64
 	// beltDirs are unit vectors (ENU frame) toward sampled GSO belt
-	// positions visible from the site.
+	// positions visible from the site, sized exactly to the visible
+	// count.
 	beltDirs []units.Vec3
 }
 
 // NewGSOExclusion samples the GSO belt as seen from obs. protectionDeg
-// <= 0 selects DefaultGSOProtectionDeg.
+// <= 0 selects DefaultGSOProtectionDeg. The belt is sampled at whole
+// degrees of absolute longitude, so two sites at one latitude but
+// different fractional longitudes see different sample points.
 func NewGSOExclusion(obs astro.Geodetic, protectionDeg float64) *GSOExclusion {
 	if protectionDeg <= 0 {
 		protectionDeg = DefaultGSOProtectionDeg
 	}
-	g := &GSOExclusion{protectionDeg: protectionDeg}
-	// Sample the belt every degree of longitude; keep points above the
-	// horizon.
-	for lon := -180.0; lon < 180; lon++ {
-		beltPoint := astro.Geodetic{LatDeg: 0, LonDeg: lon, AltKm: GSOAltKm}
-		la := astro.Observe(obs, beltPoint.ToECEF())
+	o := astro.NewObserver(obs)
+	// Keep the belt points above the horizon.
+	var dirs [gsoBeltSamples]units.Vec3
+	n := 0
+	for i := range gsoBelt {
+		la := o.Observe(gsoBelt[i])
 		if la.ElevationDeg < 0 {
 			continue
 		}
-		g.beltDirs = append(g.beltDirs, dirFromLook(la))
+		dirs[n] = dirFromLook(la)
+		n++
 	}
+	g := &GSOExclusion{protectionDeg: protectionDeg, beltDirs: make([]units.Vec3, n)}
+	copy(g.beltDirs, dirs[:n])
 	return g
 }
 
@@ -206,35 +226,29 @@ func dirFromLook(la astro.LookAngles) units.Vec3 {
 	}
 }
 
-// Excluded reports whether a satellite seen at the given look angles
-// falls inside the protected zone around the GSO arc.
-func (g *GSOExclusion) Excluded(azDeg, elevDeg float64) bool {
+// Separation returns the angular distance, in degrees, from the
+// direction (azDeg, elevDeg) to the nearest visible GSO belt point,
+// and whether that direction falls inside the protected zone around
+// the arc. A site with no belt point above the horizon (polar) returns
+// +Inf, false.
+//
+// The scan keeps the largest cosine, each computed as
+// units.Vec3.AngleBetween computes it, and takes a single acos at the
+// end; acos is non-increasing, so the result equals the minimum of the
+// per-point angles. TestGSOSeparationMatchesOracle checks it bit for
+// bit against that per-point scan.
+func (g *GSOExclusion) Separation(azDeg, elevDeg float64) (sepDeg float64, excluded bool) {
 	if len(g.beltDirs) == 0 {
-		return false
+		return math.Inf(1), false
 	}
 	d := dirFromLook(astro.LookAngles{ElevationDeg: elevDeg, AzimuthDeg: azDeg})
-	min := math.Pi
+	nd := d.Norm()
+	maxCos := -1.0
 	for _, b := range g.beltDirs {
-		if a := d.AngleBetween(b); a < min {
-			min = a
+		if c := units.Clamp(d.Dot(b)/(nd*b.Norm()), -1, 1); c > maxCos {
+			maxCos = c
 		}
 	}
-	return units.Rad2Deg(min) < g.protectionDeg
-}
-
-// MinSeparationDeg returns the angular distance from the given
-// direction to the nearest visible GSO belt point, in degrees. Returns
-// +Inf when no belt point is above the horizon (polar sites).
-func (g *GSOExclusion) MinSeparationDeg(azDeg, elevDeg float64) float64 {
-	if len(g.beltDirs) == 0 {
-		return math.Inf(1)
-	}
-	d := dirFromLook(astro.LookAngles{ElevationDeg: elevDeg, AzimuthDeg: azDeg})
-	min := math.Pi
-	for _, b := range g.beltDirs {
-		if a := d.AngleBetween(b); a < min {
-			min = a
-		}
-	}
-	return units.Rad2Deg(min)
+	sepDeg = units.Rad2Deg(math.Acos(maxCos))
+	return sepDeg, sepDeg < g.protectionDeg
 }

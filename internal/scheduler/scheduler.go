@@ -163,10 +163,11 @@ type Global struct {
 	terms   []Terminal
 	w       Weights
 	minElev float64
-	gso     map[string]*geo.GSOExclusion // per terminal
-	noGSO   bool
-	rng     *rand.Rand
-	snaps   *constellation.SnapshotCache
+	// gso holds each terminal's exclusion geometry, parallel to terms;
+	// the entries are nil when the exclusion is disabled.
+	gso   []*geo.GSOExclusion
+	rng   *rand.Rand
+	snaps *constellation.SnapshotCache
 
 	// load is hidden per-satellite background utilization in [0,1],
 	// re-drawn smoothly each slot. It is intentionally unobservable to
@@ -207,6 +208,13 @@ func NewGlobal(cfg Config) (*Global, error) {
 	if len(cfg.Terminals) == 0 {
 		return nil, fmt.Errorf("scheduler: no terminals")
 	}
+	names := make(map[string]struct{}, len(cfg.Terminals))
+	for _, t := range cfg.Terminals {
+		if _, dup := names[t.Name]; dup {
+			return nil, fmt.Errorf("scheduler: duplicate terminal name %q", t.Name)
+		}
+		names[t.Name] = struct{}{}
+	}
 	w := cfg.Weights
 	if w == (Weights{}) {
 		w = DefaultWeights()
@@ -220,7 +228,7 @@ func NewGlobal(cfg Config) (*Global, error) {
 		terms:   append([]Terminal(nil), cfg.Terminals...),
 		w:       w,
 		minElev: minElev,
-		gso:     make(map[string]*geo.GSOExclusion, len(cfg.Terminals)),
+		gso:     make([]*geo.GSOExclusion, len(cfg.Terminals)),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		load:    make(map[int]float64, cfg.Constellation.Len()),
 		metrics: NewMetrics(cfg.Telemetry),
@@ -229,12 +237,9 @@ func NewGlobal(cfg Config) (*Global, error) {
 	if g.snaps == nil {
 		g.snaps = constellation.NewSnapshotCache(0, cfg.Telemetry)
 	}
-	switch {
-	case cfg.GSOProtectionDeg < 0:
-		g.noGSO = true
-	default:
-		for _, t := range cfg.Terminals {
-			g.gso[t.Name] = geo.NewGSOExclusion(t.Location, cfg.GSOProtectionDeg)
+	if cfg.GSOProtectionDeg >= 0 {
+		for i, t := range cfg.Terminals {
+			g.gso[i] = geo.NewGSOExclusion(t.Location, cfg.GSOProtectionDeg)
 		}
 	}
 	for _, s := range cfg.Constellation.Sats {
@@ -329,9 +334,9 @@ func (g *Global) Allocate(t time.Time) []Allocation {
 	g.refreshGSVisibility(SlotIndex(t), shared)
 
 	out := make([]Allocation, 0, len(g.terms))
-	for _, term := range g.terms {
+	for i, term := range g.terms {
 		var cands []Candidate
-		g.fovScratch, cands = g.appendCandidates(g.fovScratch, g.candScratch[:0], term, shared)
+		g.fovScratch, cands = g.appendCandidates(g.fovScratch, g.candScratch[:0], term, g.gso[i], shared)
 		g.candScratch = cands
 		alloc := Allocation{Terminal: term.Name, SlotStart: slotStart, Candidates: len(cands)}
 		g.metrics.observe(len(cands), len(cands) > 0)
@@ -379,13 +384,14 @@ func (g *Global) refreshGSVisibility(slot int64, shared *constellation.SharedSna
 }
 
 // appendCandidates computes the eligible, scored satellites for one
-// terminal, appending into cands and sweeping the field of view
-// through fovBuf (both may be nil). It returns the (possibly regrown)
-// fov buffer for the caller to retain alongside the candidate slice.
+// terminal with exclusion geometry gso (nil when disabled), appending
+// into cands and sweeping the field of view through fovBuf (both may
+// be nil). It returns the (possibly regrown) fov buffer for the caller
+// to retain alongside the candidate slice.
 // The eligibility walk and RNG consumption order are identical
 // whatever buffers are passed, so scores are bit-identical.
 func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candidate,
-	term Terminal, shared *constellation.SharedSnapshot) ([]constellation.Visible, []Candidate) {
+	term Terminal, gso *geo.GSOExclusion, shared *constellation.SharedSnapshot) ([]constellation.Visible, []Candidate) {
 	fov := shared.Index().AppendObserveFrom(fovBuf[:0], term.Location, g.minElev)
 	recencyDen := g.newest.Sub(g.oldest).Hours()
 	if recencyDen <= 0 {
@@ -398,8 +404,19 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 		if term.Mask.Blocked(v.Look.AzimuthDeg, v.Look.ElevationDeg) {
 			continue
 		}
-		if !g.noGSO && g.gso[term.Name].Excluded(v.Look.AzimuthDeg, v.Look.ElevationDeg) {
-			continue
+		// One belt scan gives both the exclusion decision and the
+		// interference margin. For >40N terminals the belt is due
+		// south, so clearance grows toward the north — the mechanism
+		// behind the paper's Figure 5 skew.
+		clearance := 0.0
+		if gso != nil {
+			sep, excluded := gso.Separation(v.Look.AzimuthDeg, v.Look.ElevationDeg)
+			if excluded {
+				continue
+			}
+			if !math.IsInf(sep, 1) {
+				clearance = units.Clamp(sep/90, 0, 1)
+			}
 		}
 		c := Candidate{Sat: v.Sat, Sunlit: v.Sunlit}
 		c.Look.ElevationDeg = v.Look.ElevationDeg
@@ -407,16 +424,6 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 		c.Look.RangeKm = v.Look.RangeKm
 
 		elevNorm := (v.Look.ElevationDeg - g.minElev) / (90 - g.minElev)
-		// Interference margin from the GSO belt. For >40N terminals the
-		// belt is due south, so clearance grows toward the north — the
-		// mechanism behind the paper's Figure 5 skew.
-		clearance := 0.0
-		if !g.noGSO {
-			sep := g.gso[term.Name].MinSeparationDeg(v.Look.AzimuthDeg, v.Look.ElevationDeg)
-			if !math.IsInf(sep, 1) {
-				clearance = units.Clamp(sep/90, 0, 1)
-			}
-		}
 		recency := v.Sat.Launch.Sub(g.oldest).Hours() / recencyDen
 		sunlit := 0.0
 		if v.Sunlit {
@@ -443,14 +450,27 @@ func (g *Global) appendCandidates(fovBuf []constellation.Visible, cands []Candid
 
 // CandidatesAt exposes the scored candidate set for ablation tests.
 // The returned slice is freshly allocated (it escapes to the caller),
-// never the Allocate scratch.
+// never the Allocate scratch. term must be one of Terminals(), found
+// by name, whose GSO geometry it uses; it panics otherwise. Fields
+// other than the name (the mask, say) are taken from term.
 func (g *Global) CandidatesAt(term Terminal, t time.Time) []Candidate {
 	g.stepLoad(SlotIndex(t))
 	shared := g.snaps.Acquire(g.cons, EpochStart(t))
 	defer shared.Release()
 	g.refreshGSVisibility(SlotIndex(t), shared)
-	_, cands := g.appendCandidates(nil, nil, term, shared)
+	_, cands := g.appendCandidates(nil, nil, term, g.gsoFor(term), shared)
 	return cands
+}
+
+// gsoFor returns the exclusion geometry of the scheduled terminal
+// named like term (nil when the exclusion is disabled).
+func (g *Global) gsoFor(term Terminal) *geo.GSOExclusion {
+	for i := range g.terms {
+		if g.terms[i].Name == term.Name {
+			return g.gso[i]
+		}
+	}
+	panic(fmt.Sprintf("scheduler: terminal %q is not scheduled", term.Name))
 }
 
 // MAC is the on-satellite medium access control scheduler: terminals

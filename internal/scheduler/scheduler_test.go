@@ -1,7 +1,9 @@
 package scheduler
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -102,6 +104,22 @@ func TestNewGlobalValidation(t *testing.T) {
 	}
 	if _, err := NewGlobal(Config{Constellation: testConstellation(t)}); err == nil {
 		t.Error("expected error for no terminals")
+	}
+}
+
+// TestNewGlobalRejectsDuplicateNames: terminals are told apart by name
+// (allocations, the MAC ring, CandidatesAt), so two sites sharing one
+// name would silently share state. The error names the duplicate.
+func TestNewGlobalRejectsDuplicateNames(t *testing.T) {
+	terms := testTerminals()
+	dup := terms[0]
+	dup.Location = terms[2].Location
+	_, err := NewGlobal(Config{Constellation: testConstellation(t), Terminals: append(terms, dup)})
+	if err == nil {
+		t.Fatalf("duplicate terminal %q accepted", dup.Name)
+	}
+	if want := fmt.Sprintf("duplicate terminal name %q", dup.Name); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
 	}
 }
 

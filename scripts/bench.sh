@@ -34,6 +34,11 @@
 # RankClassesInto. Acceptance: 0 allocs/op; the serve path must never
 # pressure the campaign workers' allocator.
 #
+# BenchmarkSchedulerSetup times scheduler.NewGlobal at 1k and 10k
+# terminals (per-terminal GSO exclusion geometry dominates); the fleet
+# sweep builds its scheduler outside the timer, so set-up cost is
+# recorded here, with allocs/op and ns/terminal.
+#
 # PR8 adds the snapshot-engine benchmarks (BENCH_PR8.json):
 # BenchmarkSnapshot fresh/warm (warm must report 0 allocs/op — the
 # pooled steady state), BenchmarkSnapshotParallel at 2/4/8 workers
@@ -62,6 +67,8 @@ trap 'rm -f "$tmp"' EXIT
         -benchmem -benchtime="$benchtime"
     go test . -run='^$' -bench='^BenchmarkCampaignFleet$' \
         -benchmem -benchtime=2x -timeout=60m
+    go test . -run='^$' -bench='^BenchmarkSchedulerSetup$' \
+        -benchmem -benchtime="$benchtime"
     go test ./internal/constellation -run='^$' -bench='^BenchmarkSnapshot' \
         -benchmem -benchtime="$benchtime"
     go test . -run='^$' -bench='^BenchmarkSchedulerAllocate$' \
