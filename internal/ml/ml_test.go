@@ -495,3 +495,21 @@ func BenchmarkForestPredictBatch(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkForestFitSixShape trains predictd's refit forest on data
+// shaped like the §6 model input (1300 rows of hour plus 250
+// small-integer cluster counts, 250 skewed classes) on one worker: the
+// traffic the split engine is tuned for, where the Gaussian benchmarks
+// above exercise continuous features only.
+func BenchmarkForestFitSixShape(b *testing.B) {
+	d := sixShapeDataset(1300, 3)
+	cfg := sixShapeForest
+	cfg.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitForest(d, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

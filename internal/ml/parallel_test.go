@@ -11,8 +11,8 @@ import (
 
 // ---------------------------------------------------------------------
 // Reference engine: the seed's sort-per-node CART builder, transcribed
-// verbatim. The presorted production engine must reproduce its trees
-// bit for bit; these tests hold the two together on randomized inputs.
+// verbatim. The production engine must reproduce its trees bit for
+// bit; these tests hold the two together on randomized inputs.
 // ---------------------------------------------------------------------
 
 type refBuilder struct {
@@ -69,7 +69,7 @@ func (b *refBuilder) grow(idx []int, depth int) int32 {
 
 	if len(idx) < b.cfg.MinSamplesSplit ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
-		pure(counts) {
+		refPure(counts) {
 		return makeLeaf()
 	}
 
@@ -102,7 +102,7 @@ func (b *refBuilder) grow(idx []int, depth int) int32 {
 }
 
 func (b *refBuilder) bestSplit(idx []int, parentCounts []float64, n float64) (int, float64, float64) {
-	parentGini := gini(parentCounts, n)
+	parentGini := refGini(parentCounts, n)
 	bestFeature := -1
 	bestThreshold := 0.0
 	bestGain := 1e-12
@@ -138,7 +138,7 @@ func (b *refBuilder) bestSplit(idx []int, parentCounts []float64, n float64) (in
 			if int(nl) < b.cfg.MinSamplesLeaf || int(nr) < b.cfg.MinSamplesLeaf {
 				continue
 			}
-			g := parentGini - (nl/n)*gini(leftCounts, nl) - (nr/n)*gini(rightCounts, nr)
+			g := parentGini - (nl/n)*refGini(leftCounts, nl) - (nr/n)*refGini(rightCounts, nr)
 			if g > bestGain {
 				bestGain = g
 				bestFeature = f
@@ -147,6 +147,31 @@ func (b *refBuilder) bestSplit(idx []int, parentCounts []float64, n float64) (in
 		}
 	}
 	return bestFeature, bestThreshold, bestGain
+}
+
+func refGini(counts []float64, n float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	g := 1.0
+	for _, c := range counts {
+		p := c / n
+		g -= p * p
+	}
+	return g
+}
+
+func refPure(counts []float64) bool {
+	seen := false
+	for _, c := range counts {
+		if c > 0 {
+			if seen {
+				return false
+			}
+			seen = true
+		}
+	}
+	return true
 }
 
 func (b *refBuilder) sampleFeatures() []int {
@@ -219,9 +244,8 @@ func TestBestSplitPresortIdentical(t *testing.T) {
 
 		b := &treeBuilder{}
 		b.fc, b.cfg, b.t = newFitContext(d), cfg, &Tree{numFeatures: nf}
-		b.n, b.total = n, float64(n)
 		b.reset(nil)
-		gf, gt, gg := b.bestSplit(0, int32(n), counts, float64(n))
+		gf, gt, gg := b.bestSplit(b.rows, b.nodeCounts(b.rows))
 
 		if gf != wf || gt != wt || gg != wg {
 			t.Fatalf("trial %d (n=%d nf=%d nc=%d): presort (%d, %v, %v), reference (%d, %v, %v)",
@@ -526,12 +550,12 @@ func TestArgsortDescMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestFitTreeExtractionIdentical pins the wide-data extraction
-// strategy — membership-only recursion with sampled-feature segments
-// derived on demand — to the sort-per-node reference. Feature counts
-// far above MaxFeatures force the extraction path, and the node-size
-// mix inside each tree exercises both the dense-node filter route and
-// the small-node sort route.
+// TestFitTreeExtractionIdentical pins the engine's on-demand ordering
+// of each sampled feature's node rows to the sort-per-node reference on
+// wide data (feature counts far above MaxFeatures). Values on a 0.1
+// grid give ~41 ranks per column, so the node-size mix inside each tree
+// exercises both the rank counting sort (dense nodes) and the quicksort
+// fallback (nodes with few rows over a wide rank span).
 func TestFitTreeExtractionIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 40; trial++ {
@@ -559,8 +583,8 @@ func TestFitTreeExtractionIdentical(t *testing.T) {
 
 // TestForestExtractionIdentical replays FitForestCtx's exact draw
 // order (per tree: n bootstrap draws, then a tree seed) through the
-// reference engine, covering the extraction strategy under bootstrap
-// sampling — the shape §6 training actually runs.
+// reference engine on d.Subset(boot), covering bootstrap samples as
+// row weights on wide data — the shape §6 training actually runs.
 func TestForestExtractionIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	d := randomDataset(rng, 150, 30, 4)

@@ -100,10 +100,9 @@ func LoadForestFor(r io.Reader, wantFeatures, wantClasses int) (*Forest, error) 
 	}
 	f := &Forest{numClasses: dto.NumClasses, numFeatures: dto.NumFeatures}
 	for ti, td := range dto.Trees {
+		// Save always writes a full importance vector. Requiring one also
+		// bounds the header's feature width by the input's size.
 		t := &Tree{numClasses: dto.NumClasses, numFeatures: dto.NumFeatures, importance: td.Importance}
-		if t.importance == nil {
-			t.importance = make([]float64, dto.NumFeatures)
-		}
 		if len(t.importance) != dto.NumFeatures {
 			return nil, fmt.Errorf("ml: tree %d importance length %d, want %d", ti, len(t.importance), dto.NumFeatures)
 		}
@@ -116,11 +115,12 @@ func LoadForestFor(r io.Reader, wantFeatures, wantClasses int) (*Forest, error) 
 				return nil, fmt.Errorf("ml: tree %d node %d references feature %d", ti, ni, nd.Feature)
 			}
 			if nd.Feature >= 0 {
-				if nd.Left < 0 || nd.Left >= n || nd.Right < 0 || nd.Right >= n {
-					return nil, fmt.Errorf("ml: tree %d node %d has out-of-range children", ti, ni)
-				}
-				if nd.Left == int32(ni) || nd.Right == int32(ni) {
-					return nil, fmt.Errorf("ml: tree %d node %d is self-referential", ti, ni)
+				// Save writes nodes in pre-order, so children always come
+				// after their parent. Requiring it rules out cycles, which
+				// would make every descent through them loop forever.
+				if nd.Left <= int32(ni) || nd.Left >= n || nd.Right <= int32(ni) || nd.Right >= n {
+					return nil, fmt.Errorf("ml: tree %d node %d has children (%d, %d) outside (%d, %d)",
+						ti, ni, nd.Left, nd.Right, ni, n)
 				}
 			} else if len(nd.Probs) != dto.NumClasses {
 				return nil, fmt.Errorf("ml: tree %d leaf %d has %d probs, want %d", ti, ni, len(nd.Probs), dto.NumClasses)

@@ -63,6 +63,9 @@ func TestLoadForestRejectsGarbage(t *testing.T) {
 		`{"version":1,"num_classes":2,"num_features":1,"trees":[{"importance":[0],"nodes":[]}]}`,
 		// importance arity mismatch
 		`{"version":1,"num_classes":2,"num_features":2,"trees":[{"importance":[0],"nodes":[{"f":-1,"p":[1,0]}]}]}`,
+		// importance missing: Save always writes it, and without it the
+		// header's feature width would size an allocation unchecked
+		`{"version":1,"num_classes":2,"num_features":3,"trees":[{"nodes":[{"f":-1,"p":[1,0]}]}]}`,
 	}
 	for i, c := range cases {
 		if _, err := LoadForest(strings.NewReader(c)); err == nil {
@@ -92,4 +95,69 @@ func TestLoadedForestStillRanks(t *testing.T) {
 	if acc < 0.8 {
 		t.Errorf("loaded forest accuracy %v", acc)
 	}
+}
+
+// cyclicForest is a two-node tree whose children point back up: the
+// root's children are node 1, and node 1's are the root. Every
+// descent through it loops forever.
+const cyclicForest = `{"version":1,"num_classes":2,"num_features":1,"trees":[{"importance":[0],` +
+	`"nodes":[{"f":0,"l":1,"r":1},{"f":0,"l":0,"r":0}]}]}`
+
+// TestLoadForestRejectsCycle: children must come after their parent in
+// the node array (Save's pre-order), so a cyclic model file fails to
+// load instead of hanging the first prediction.
+func TestLoadForestRejectsCycle(t *testing.T) {
+	if _, err := LoadForest(strings.NewReader(cyclicForest)); err == nil {
+		t.Fatal("cyclic forest accepted")
+	}
+	// The same tree with the back edge removed is a valid stump.
+	ok := `{"version":1,"num_classes":2,"num_features":1,"trees":[{"importance":[0],` +
+		`"nodes":[{"f":0,"t":0.5,"l":1,"r":2},{"f":-1,"p":[1,0]},{"f":-1,"p":[0,1]}]}]}`
+	f, err := LoadForest(strings.NewReader(ok))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if y, err := f.Predict([]float64{1}); err != nil || y != 1 {
+		t.Errorf("stump predicts %d, %v; want 1", y, err)
+	}
+}
+
+// FuzzLoadForest: any bytes that load must describe a forest that
+// answers a prediction (no panic, no endless descent) and survives
+// Save → LoadForest → Save unchanged.
+func FuzzLoadForest(f *testing.F) {
+	forest, err := FitForest(gaussDataset(30, 1), ForestConfig{NumTrees: 2, Tree: TreeConfig{MaxDepth: 3}, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := forest.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(cyclicForest))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		forest, err := LoadForest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if _, err := forest.PredictProba(make([]float64, forest.NumFeatures())); err != nil {
+			t.Fatalf("loaded forest rejects a zero vector: %v", err)
+		}
+		var first bytes.Buffer
+		if err := forest.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadForest(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("saved forest does not load: %v", err)
+		}
+		var second bytes.Buffer
+		if err := again.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the bytes:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

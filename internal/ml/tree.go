@@ -7,17 +7,17 @@
 //
 // Training is built for throughput without giving up reproducibility:
 // forests train on a bounded worker pool with every random draw made
-// serially up front, split search runs over presorted per-feature
-// index arrays partitioned down the recursion instead of re-sorting at
-// every node, and the batch prediction path is allocation-free. All of
-// it is bit-identical to the straightforward serial implementation —
-// see README "Learning engine internals".
+// serially up front, bootstrap samples are row weights rather than
+// copies, each node orders its rows for a sampled feature by counting
+// sort over value ranks computed once per fit, and the batch
+// prediction path is allocation-free. All of it is bit-identical to
+// the straightforward serial implementation — see README "Learning
+// engine internals".
 package ml
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 )
 
@@ -122,63 +122,70 @@ type Tree struct {
 }
 
 // fitContext is the per-dataset presort shared by every tree of a fit:
-// a column-major copy of X plus, per feature, the row indices sorted
-// ascending by that feature's value. Columns that are constant across
+// the labels, and per varying feature a column-major copy of its values
+// plus each row's dense value rank. Columns that are constant across
 // the dataset (most of the §6 cluster-count features are) can never
-// host a split, so they are flagged and never sorted, materialized, or
-// partitioned. Immutable after construction; concurrent tree builders
-// share one instance.
+// host a split, so they carry neither. Immutable after construction;
+// concurrent tree builders share one instance.
 type fitContext struct {
 	d           *Dataset
 	numFeatures int
-	cols        [][]float64 // cols[f][row] = X[row][f]
-	order       [][]int32   // order[f] = rows sorted ascending by cols[f]; nil when constant
-	constant    []bool      // constant[f]: column f has a single value
+	y           []int32     // y[row] = d.Y[row]
+	cols        [][]float64 // cols[f][row] = X[row][f]; nil when column f is constant
+	rank        [][]int32   // rank[f][row] = position of X[row][f] among column f's distinct values, ascending
 }
 
-// newFitContext builds the column store and sorts each varying feature
-// column once. O(active features * n log n), paid once per
-// FitForest/FitTree call instead of once per node as the sort-per-node
-// engine did.
+// newFitContext copies and ranks each varying feature column with one
+// sort. O(active features * n log n), paid once per FitForest/FitTree
+// call.
 func newFitContext(d *Dataset) *fitContext {
 	n := len(d.X)
 	nf := len(d.X[0])
-	fc := &fitContext{d: d, numFeatures: nf}
-	colsFlat := make([]float64, nf*n)
-	fc.cols = make([][]float64, nf)
-	fc.order = make([][]int32, nf)
-	fc.constant = make([]bool, nf)
-	for f := 0; f < nf; f++ {
-		col := colsFlat[f*n : (f+1)*n : (f+1)*n]
-		constant := true
-		for r, row := range d.X {
-			col[r] = row[f]
-			if row[f] != col[0] {
-				constant = false
+	fc := &fitContext{
+		d:           d,
+		numFeatures: nf,
+		y:           make([]int32, n),
+		cols:        make([][]float64, nf),
+		rank:        make([][]int32, nf),
+	}
+	for r, y := range d.Y {
+		fc.y[r] = int32(y)
+	}
+	varying := make([]bool, nf)
+	active := 0
+	for f := range varying {
+		for _, row := range d.X[1:] {
+			if row[f] != d.X[0][f] {
+				varying[f] = true
+				active++
+				break
 			}
 		}
-		fc.cols[f] = col
-		fc.constant[f] = constant
 	}
-	active := 0
-	for f := 0; f < nf; f++ {
-		if !fc.constant[f] {
-			active++
-		}
-	}
-	ordFlat := make([]int32, active*n)
+	colsFlat := make([]float64, active*n)
+	rankFlat := make([]int32, active*n)
+	ord := make([]int32, n)
 	k := 0
-	for f := 0; f < nf; f++ {
-		if fc.constant[f] {
+	for f, v := range varying {
+		if !v {
 			continue
 		}
-		ord := ordFlat[k*n : (k+1)*n : (k+1)*n]
+		col := colsFlat[k*n : (k+1)*n : (k+1)*n]
+		rank := rankFlat[k*n : (k+1)*n : (k+1)*n]
 		k++
-		for r := range ord {
+		for r, row := range d.X {
+			col[r] = row[f]
 			ord[r] = int32(r)
 		}
-		sortIdxByKey(fc.cols[f], ord)
-		fc.order[f] = ord
+		sortIdxByKey(col, ord)
+		level := int32(0)
+		for i, r := range ord {
+			if i > 0 && col[r] != col[ord[i-1]] {
+				level++
+			}
+			rank[r] = level
+		}
+		fc.cols[f], fc.rank[f] = col, rank
 	}
 	return fc
 }
@@ -244,52 +251,33 @@ func FitTree(d *Dataset, cfg TreeConfig, rng *rand.Rand) (*Tree, error) {
 // reused across trees, so a worker that fits many trees allocates the
 // scratch once. Not safe for concurrent use; the pool gives each
 // worker its own builder.
+//
+// A tree's sample is a weight per dataset row — its bootstrap
+// multiplicity, 1 for the identity sample — over the distinct rows of
+// nonzero weight. Class counts, node sizes and the split scan's left
+// size add weights instead of counting copies. They stay exact
+// integers in float64, so every gini, gain, threshold and importance
+// has the same bits as growing on the expanded sample d.Subset(boot).
 type treeBuilder struct {
 	fc    *fitContext
 	cfg   TreeConfig
 	rng   *rand.Rand
 	t     *Tree
-	n     int
-	total float64
+	total float64 // sample size: the sum of all weights
 
-	cols [][]float64 // per-tree column store: cols[f][pos] over sample positions
-	y    []int32     // label per sample position
-	ord  [][]int32   // per-feature positions sorted by value, partitioned in place
-	pos  []int32     // membership order: the node's positions, partitioned with ord
-	tmp  []int32     // stable-partition scratch (right-child spill)
-	mark []bool      // per-position left/right marks for the current split
+	w    []float64 // w[row]: bootstrap multiplicity of row
+	rows []int32   // sampled rows; each node owns a contiguous range, partitioned down the recursion
+	tmp  []int32   // partition scratch (right-child spill)
+	seg  []int32   // one sampled feature's node rows, sorted by value
+	hist []int32   // counting-sort buckets over the node's rank span
 
-	// Features constant within this tree's sample can never host a split
-	// (the scan skipped them via its equal-endpoints check), so only the
-	// active remainder is sorted, stored, and partitioned.
-	activeMask []bool
-	activeList []int32
-
-	// extract switches the engine between its two exact strategies.
-	// Narrow data (active features ≲ features sampled per split) keeps
-	// every feature's order array partitioned down the recursion; wide
-	// data (the §6 shape: ~200 varying columns, ~15 sampled per node)
-	// maintains only the membership array and derives each sampled
-	// feature's sorted segment on demand — by filtering the global value
-	// order for dense nodes or sorting the node's positions for small
-	// ones. Both orderings visit identical split candidates, so the
-	// choice never changes the tree.
-	extract  bool
-	identity bool    // boot was nil: positions are dataset rows
-	invPos   []int32 // invPos[pos] = current index of pos in b.pos
-	segBuf   []int32 // extraction scratch for one feature's sorted segment
-
-	rowCnt   []int32 // bootstrap multiplicity per dataset row
-	rowStart []int32 // prefix offsets into posByRow
-	posByRow []int32 // sample positions grouped by dataset row
-
-	counts      []float64 // class counts of the current node
+	counts      []float64 // class weights of the current node
 	leftCounts  []float64
 	rightCounts []float64
-	allFeatures []int // identity feature list when MaxFeatures >= numFeatures
-
-	colsFlat []float64
-	ordFlat  []int32
+	present     []int32   // classes of nonzero weight in the current node, ascending
+	perm        []int     // sampleFeatures scratch
+	probs       []float64 // leaf distributions of the tree being grown, in node order
+	allFeatures []int     // identity feature list when MaxFeatures >= numFeatures
 }
 
 // fitTree grows one tree over the sample positions boot (nil = the
@@ -300,21 +288,19 @@ func (b *treeBuilder) fitTree(fc *fitContext, cfg TreeConfig, rng *rand.Rand, bo
 	if cfg.MaxFeatures < fc.numFeatures && rng == nil {
 		return nil, fmt.Errorf("ml: feature subsampling requires an rng")
 	}
-	n := len(boot)
-	if boot == nil {
-		n = len(fc.d.X)
-	}
 	t := &Tree{
 		numClasses:  fc.d.NumClasses,
 		numFeatures: fc.numFeatures,
 		importance:  make([]float64, fc.numFeatures),
 	}
 	b.fc, b.cfg, b.rng, b.t = fc, cfg, rng, t
-	b.n, b.total = n, float64(n)
 	b.reset(boot)
-	b.grow(0, int32(n), 0)
-	// The backing array is final now, so leaf views are stable: hand
-	// each leaf its numClasses-wide block in node (= DFS) order.
+	b.grow(0, int32(len(b.rows)), 0)
+	// Leaf distributions accumulate in builder scratch, then move to
+	// one exactly sized array the tree keeps; leaf views into it are
+	// stable: each leaf gets its numClasses-wide block in node (= DFS)
+	// order.
+	t.leafProbs = append([]float64(nil), b.probs...)
 	off := 0
 	for i := range t.nodes {
 		if t.nodes[i].feature < 0 {
@@ -325,256 +311,134 @@ func (b *treeBuilder) fitTree(fc *fitContext, cfg TreeConfig, rng *rand.Rand, bo
 	return t, nil
 }
 
-// reset sizes the scratch for the current (fc, boot) pair, materializes
-// the per-tree column store, and derives each feature's presorted
-// position list from the fitContext's global order in O(n) per feature:
-// bucket the bootstrap positions by row (a counting sort), then walk
-// the globally sorted rows emitting each row's positions.
+// reset sizes the scratch for the current fitContext and loads the
+// tree's sample: the row weights and the list of rows they select.
 func (b *treeBuilder) reset(boot []int) {
-	n, nf, nc := b.n, b.fc.numFeatures, b.fc.d.NumClasses
-	nRows := len(b.fc.d.X)
-	if cap(b.colsFlat) < nf*n {
-		b.colsFlat = make([]float64, nf*n)
+	nRows, nf, nc := len(b.fc.d.X), b.fc.numFeatures, b.fc.d.NumClasses
+	if cap(b.w) < nRows {
+		b.w = make([]float64, nRows)
+		b.rows = make([]int32, 0, nRows)
+		b.tmp = make([]int32, nRows)
+		b.seg = make([]int32, nRows)
+		b.hist = make([]int32, nRows+1)
 	}
-	if len(b.cols) != nf {
-		b.cols = make([][]float64, nf)
-		b.ord = make([][]int32, nf)
-	}
-	if cap(b.tmp) < n {
-		b.tmp = make([]int32, n)
-		b.mark = make([]bool, n)
-		b.posByRow = make([]int32, n)
-		b.pos = make([]int32, n)
-	}
-	if len(b.activeMask) != nf {
-		b.activeMask = make([]bool, nf)
-		b.activeList = make([]int32, 0, nf)
-	}
-	b.activeList = b.activeList[:0]
-	if cap(b.rowCnt) < nRows+1 {
-		b.rowCnt = make([]int32, nRows+1)
-		b.rowStart = make([]int32, nRows+1)
-	}
+	b.w = b.w[:nRows]
 	if cap(b.counts) < nc {
 		b.counts = make([]float64, nc)
 		b.leftCounts = make([]float64, nc)
 		b.rightCounts = make([]float64, nc)
+		b.present = make([]int32, 0, nc)
 	}
 	b.counts = b.counts[:nc]
 	b.leftCounts = b.leftCounts[:nc]
 	b.rightCounts = b.rightCounts[:nc]
-	if cap(b.y) < n {
-		b.y = make([]int32, n)
-	}
-	b.y = b.y[:n]
 	if len(b.allFeatures) != nf {
 		b.allFeatures = make([]int, nf)
+		b.perm = make([]int, nf)
 		for f := range b.allFeatures {
 			b.allFeatures[f] = f
 		}
 	}
 
-	b.identity = boot == nil
-	if b.identity {
-		// Identity sample: positions are rows; the global order is the
-		// tree's order.
-		for pos := 0; pos < n; pos++ {
-			b.y[pos] = int32(b.fc.d.Y[pos])
+	if boot == nil {
+		for r := range b.w {
+			b.w[r] = 1
 		}
-		for f := 0; f < nf; f++ {
-			if b.fc.constant[f] {
-				b.activeMask[f] = false
-				b.cols[f], b.ord[f] = nil, nil
-				continue
-			}
-			b.activeMask[f] = true
-			b.activeList = append(b.activeList, int32(f))
-			b.cols[f] = b.fc.cols[f]
-		}
+		b.total = float64(nRows)
 	} else {
-		cnt := b.rowCnt[:nRows]
-		for i := range cnt {
-			cnt[i] = 0
-		}
+		clear(b.w)
 		for _, r := range boot {
-			cnt[r]++
+			b.w[r]++
 		}
-		start := b.rowStart[:nRows+1]
-		var acc int32
-		for r, c := range cnt {
-			start[r] = acc
-			acc += c
-		}
-		start[nRows] = acc
-		// Group positions by row, keeping ascending position order within
-		// a row (ties within equal feature values are order-insensitive
-		// for split search, but a fixed order keeps the layout
-		// deterministic).
-		next := cnt // reuse as cursor: next[r] = start[r] while filling
-		copy(next, start[:nRows])
-		byRow := b.posByRow[:n]
-		for pos, r := range boot {
-			byRow[next[r]] = int32(pos)
-			next[r]++
-		}
-		for pos, r := range boot {
-			b.y[pos] = int32(b.fc.d.Y[r])
-		}
-		slot := 0
-		for f := 0; f < nf; f++ {
-			if b.fc.constant[f] {
-				b.activeMask[f] = false
-				b.cols[f], b.ord[f] = nil, nil
-				continue
-			}
-			col := b.colsFlat[slot*n : (slot+1)*n : (slot+1)*n]
-			src := b.fc.cols[f]
-			constant := true
-			for pos, r := range boot {
-				col[pos] = src[r]
-				if src[r] != col[0] {
-					constant = false
-				}
-			}
-			if constant {
-				// Varies in the dataset but not in this bootstrap sample;
-				// the slot is reused by the next feature.
-				b.activeMask[f] = false
-				b.cols[f], b.ord[f] = nil, nil
-				continue
-			}
-			b.activeMask[f] = true
-			b.activeList = append(b.activeList, int32(f))
-			b.cols[f] = col
-			slot++
-		}
+		b.total = float64(len(boot))
 	}
-
-	// Strategy choice (perf-only; both paths grow identical trees): when
-	// far more features vary than each split samples, maintaining every
-	// order array down the recursion costs more than deriving the few
-	// sampled segments on demand.
-	b.extract = len(b.activeList) > 4*b.cfg.MaxFeatures
-	if b.extract || len(b.activeList) == 0 {
-		// The membership array is only maintained in extraction mode; the
-		// partitioned engine reads membership off its first active
-		// feature's order array (any feature's segment holds the node's
-		// position set). The all-constant case keeps it as a fallback.
-		b.pos = b.pos[:n]
-		for i := range b.pos {
-			b.pos[i] = int32(i)
+	b.probs = b.probs[:0]
+	b.rows = b.rows[:0]
+	for r, w := range b.w {
+		if w > 0 {
+			b.rows = append(b.rows, int32(r))
 		}
-	}
-	if b.extract {
-		if cap(b.invPos) < n {
-			b.invPos = make([]int32, n)
-			b.segBuf = make([]int32, n)
-		}
-		b.invPos = b.invPos[:n]
-		for i := range b.invPos {
-			b.invPos[i] = int32(i)
-		}
-		return
-	}
-
-	if cap(b.ordFlat) < nf*n {
-		b.ordFlat = make([]int32, nf*n)
-	}
-	for slot, fi := range b.activeList {
-		f := int(fi)
-		ord := b.ordFlat[slot*n : (slot+1)*n : (slot+1)*n]
-		if b.identity {
-			copy(ord, b.fc.order[f])
-		} else {
-			start, byRow := b.rowStart[:nRows+1], b.posByRow[:n]
-			k := 0
-			for _, r := range b.fc.order[f] {
-				for i := start[r]; i < start[r+1]; i++ {
-					ord[k] = byRow[i]
-					k++
-				}
-			}
-		}
-		b.ord[f] = ord
 	}
 }
 
-func gini(counts []float64, n float64) float64 {
+// gini is the impurity of the class weights counts, which sum to n and
+// are nonzero only for the classes in present. Each absent class would
+// subtract 0*0, and g - 0 == g, so skipping them leaves every bit of
+// the result unchanged.
+func gini(counts []float64, present []int32, n float64) float64 {
 	if n == 0 {
 		return 0
 	}
 	g := 1.0
-	for _, c := range counts {
-		p := c / n
+	for _, c := range present {
+		p := counts[c] / n
 		g -= p * p
 	}
 	return g
 }
 
-func pure(counts []float64) bool {
-	seen := false
-	for _, c := range counts {
-		if c > 0 {
-			if seen {
-				return false
-			}
-			seen = true
+// nodeCounts loads the class weights of rows into b.counts and the
+// classes present among them into b.present, and returns their total
+// weight.
+func (b *treeBuilder) nodeCounts(rows []int32) float64 {
+	clear(b.counts)
+	n := 0.0
+	for _, r := range rows {
+		b.counts[b.fc.y[r]] += b.w[r]
+		n += b.w[r]
+	}
+	b.present = b.present[:0]
+	for c, v := range b.counts {
+		if v > 0 {
+			b.present = append(b.present, int32(c))
 		}
 	}
-	return true
+	return n
 }
 
-// grow builds the subtree over the position range [lo, hi) — the same
-// contiguous segment of every feature's presorted order — and returns
-// its node index.
+// grow builds the subtree over the node's rows b.rows[lo:hi] and
+// returns its node index.
 func (b *treeBuilder) grow(lo, hi int32, depth int) int32 {
-	var seg []int32
-	if b.extract || len(b.activeList) == 0 {
-		seg = b.pos[lo:hi]
-	} else {
-		seg = b.ord[b.activeList[0]][lo:hi]
-	}
+	rows := b.rows[lo:hi]
+	n := b.nodeCounts(rows)
 	counts := b.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, pos := range seg {
-		counts[b.y[pos]]++
-	}
-	n := float64(hi - lo)
 
 	makeLeaf := func() int32 {
 		for _, c := range counts {
-			b.t.leafProbs = append(b.t.leafProbs, c/n)
+			b.probs = append(b.probs, c/n)
 		}
 		b.t.nodes = append(b.t.nodes, node{feature: -1})
 		return int32(len(b.t.nodes) - 1)
 	}
 
-	if int(hi-lo) < b.cfg.MinSamplesSplit ||
+	if int(n) < b.cfg.MinSamplesSplit ||
 		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
-		pure(counts) {
+		len(b.present) <= 1 {
 		return makeLeaf()
 	}
 
-	feature, threshold, gain := b.bestSplit(lo, hi, counts, n)
+	feature, threshold, gain := b.bestSplit(rows, n)
 	if feature < 0 {
 		return makeLeaf()
 	}
 
-	// Mark each position's side once; every feature's segment is then
-	// partitioned by the marks.
-	nLeft := int32(0)
-	col := b.cols[feature]
-	for _, pos := range seg {
-		left := col[pos] <= threshold
-		b.mark[pos] = left
-		if left {
-			nLeft++
+	// Partition the rows by side: left rows compact forward, right rows
+	// spill to scratch and append behind.
+	col := b.fc.cols[feature]
+	k, m := 0, 0
+	nLeft := 0.0
+	for _, r := range rows {
+		if col[r] <= threshold {
+			rows[k] = r
+			k++
+			nLeft += b.w[r]
+		} else {
+			b.tmp[m] = r
+			m++
 		}
 	}
-	nRight := (hi - lo) - nLeft
-	if int(nLeft) < b.cfg.MinSamplesLeaf || int(nRight) < b.cfg.MinSamplesLeaf {
+	copy(rows[k:], b.tmp[:m])
+	if int(nLeft) < b.cfg.MinSamplesLeaf || int(n-nLeft) < b.cfg.MinSamplesLeaf {
 		return makeLeaf()
 	}
 
@@ -582,158 +446,130 @@ func (b *treeBuilder) grow(lo, hi int32, depth int) int32 {
 	// training samples (scikit-learn's convention).
 	b.t.importance[feature] += n / b.total * gain
 
-	// Stable partition keeps each child's segment sorted per feature:
-	// left positions compact forward, right positions spill to scratch
-	// and append behind. Extraction mode only carries the membership
-	// array (plus its inverse) down the recursion; the partitioned
-	// engine carries every active feature's order array, the first of
-	// which doubles as membership.
-	if b.extract {
-		k, m := 0, 0
-		for _, pos := range seg {
-			if b.mark[pos] {
-				seg[k] = pos
-				k++
-			} else {
-				b.tmp[m] = pos
-				m++
-			}
-		}
-		copy(seg[k:], b.tmp[:m])
-		for i := lo; i < hi; i++ {
-			b.invPos[b.pos[i]] = i
-		}
-	} else {
-		for _, fi := range b.activeList {
-			fseg := b.ord[fi][lo:hi]
-			k, m := 0, 0
-			for _, pos := range fseg {
-				if b.mark[pos] {
-					fseg[k] = pos
-					k++
-				} else {
-					b.tmp[m] = pos
-					m++
-				}
-			}
-			copy(fseg[k:], b.tmp[:m])
-		}
-	}
-
 	// Reserve this node's slot before growing children.
 	me := int32(len(b.t.nodes))
 	b.t.nodes = append(b.t.nodes, node{feature: feature, threshold: threshold})
-	l := b.grow(lo, lo+nLeft, depth+1)
-	r := b.grow(lo+nLeft, hi, depth+1)
+	l := b.grow(lo, lo+int32(k), depth+1)
+	r := b.grow(lo+int32(k), hi, depth+1)
 	b.t.nodes[me].left = l
 	b.t.nodes[me].right = r
 	return me
 }
 
 // bestSplit searches the sampled features for the gini-optimal
-// threshold. Returns feature -1 when no split improves impurity.
+// threshold over the node's rows, whose class weights (summing to n)
+// are b.counts. Returns feature -1 when no split improves impurity.
 //
-// Each feature's candidate scan walks its presorted segment directly —
-// O(n) per feature — instead of sorting (value, label) pairs per node.
-// The scan visits the same value boundaries with the same class counts
-// as a freshly sorted copy would (equal-value runs contribute no
-// candidates), so the chosen split is bit-identical to the
-// sort-per-node engine's; TestBestSplitPresortIdentical holds the two
-// together.
-func (b *treeBuilder) bestSplit(lo, hi int32, parentCounts []float64, n float64) (int, float64, float64) {
-	parentGini := gini(parentCounts, n)
+// Each feature's candidate scan walks the node's rows in value order
+// and evaluates only boundaries between distinct values, where the
+// left side's class weights are the same whatever the order within
+// equal-value runs. It therefore visits the same candidates with the
+// same class counts as the sort-per-node engine does on the expanded
+// sample, and the chosen split is bit-identical;
+// TestBestSplitPresortIdentical holds the two together.
+func (b *treeBuilder) bestSplit(rows []int32, n float64) (int, float64, float64) {
+	fc, w, present := b.fc, b.w, b.present
+	parentCounts, leftCounts, rightCounts := b.counts, b.leftCounts, b.rightCounts
+	parentGini := gini(parentCounts, present, n)
 	bestFeature := -1
 	bestThreshold := 0.0
 	bestGain := 1e-12 // require a strictly positive gain
 
-	leftCounts, rightCounts := b.leftCounts, b.rightCounts
 	for _, f := range b.sampleFeatures() {
-		if !b.activeMask[f] {
-			continue // constant across the tree's sample
-		}
-		var seg []int32
-		if b.extract {
-			seg = b.extractSeg(f, lo, hi)
-		} else {
-			seg = b.ord[f][lo:hi]
-		}
-		col := b.cols[f]
-		if col[seg[0]] == col[seg[len(seg)-1]] {
+		seg := b.sortedRows(f, rows)
+		if seg == nil {
 			continue // constant within this node
 		}
-		for i := range leftCounts {
-			leftCounts[i] = 0
+		for _, c := range present {
+			leftCounts[c] = 0
+			rightCounts[c] = parentCounts[c]
 		}
-		copy(rightCounts, parentCounts)
+		rank, col := fc.rank[f], fc.cols[f]
+		nl := 0.0
 		for i := 0; i < len(seg)-1; i++ {
-			yi := b.y[seg[i]]
-			leftCounts[yi]++
-			rightCounts[yi]--
-			v := col[seg[i]]
-			if v == col[seg[i+1]] {
+			r := seg[i]
+			yi, wi := fc.y[r], w[r]
+			leftCounts[yi] += wi
+			rightCounts[yi] -= wi
+			nl += wi
+			if rank[r] == rank[seg[i+1]] {
 				continue // can't split between equal values
 			}
-			nl := float64(i + 1)
 			nr := n - nl
 			if int(nl) < b.cfg.MinSamplesLeaf || int(nr) < b.cfg.MinSamplesLeaf {
 				continue
 			}
-			g := parentGini - (nl/n)*gini(leftCounts, nl) - (nr/n)*gini(rightCounts, nr)
+			g := parentGini - (nl/n)*gini(leftCounts, present, nl) - (nr/n)*gini(rightCounts, present, nr)
 			if g > bestGain {
 				bestGain = g
 				bestFeature = f
-				bestThreshold = (v + col[seg[i+1]]) / 2
+				bestThreshold = (col[r] + col[seg[i+1]]) / 2
 			}
 		}
 	}
 	return bestFeature, bestThreshold, bestGain
 }
 
-// extractSeg returns the node's positions sorted ascending by feature
-// f's value, derived on demand in extraction mode. Dense nodes filter
-// the fitContext's global value order by membership in [lo, hi) — O(n)
-// regardless of node size — while small nodes sort their positions
-// directly. Ties land in arbitrary order either way, which the split
-// scan is insensitive to, so both routes match the partitioned engine
-// bit for bit.
-func (b *treeBuilder) extractSeg(f int, lo, hi int32) []int32 {
-	s := int(hi - lo)
-	seg := b.segBuf[:s]
-	if s*bits.Len(uint(s)) <= 3*b.n {
-		copy(seg, b.pos[lo:hi])
-		sortIdxByKey(b.cols[f], seg)
+// sortedRows returns the node's rows ordered by feature f's value, or
+// nil when f is constant over them. The order comes from the rank
+// column: a counting sort over the node's rank span, O(rows + span),
+// when the span is at most 8x the row count — always at the dense top
+// of a tree, and for small-integer features at every depth — and the
+// closure-free quicksort otherwise. Ties land in arbitrary order, which
+// the split scan is insensitive to.
+func (b *treeBuilder) sortedRows(f int, rows []int32) []int32 {
+	rank := b.fc.rank[f]
+	if rank == nil {
+		return nil // constant across the dataset
+	}
+	lo, hi := rank[rows[0]], rank[rows[0]]
+	for _, r := range rows[1:] {
+		lo = min(lo, rank[r])
+		hi = max(hi, rank[r])
+	}
+	if lo == hi {
+		return nil
+	}
+	seg := b.seg[:len(rows)]
+	span := int(hi-lo) + 1
+	if span > 8*len(rows) {
+		copy(seg, rows)
+		sortIdxByKey(b.fc.cols[f], seg)
 		return seg
 	}
-	k := 0
-	if b.identity {
-		for _, r := range b.fc.order[f] {
-			if ip := b.invPos[r]; ip >= lo && ip < hi {
-				seg[k] = r
-				k++
-			}
-		}
-		return seg
+	// start[k] counts rank lo+k-1, then (after the prefix sum) holds
+	// the first output slot of rank lo+k.
+	start := b.hist[:span+1]
+	clear(start)
+	for _, r := range rows {
+		start[rank[r]-lo+1]++
 	}
-	start, byRow := b.rowStart, b.posByRow
-	for _, r := range b.fc.order[f] {
-		for i := start[r]; i < start[r+1]; i++ {
-			p := byRow[i]
-			if ip := b.invPos[p]; ip >= lo && ip < hi {
-				seg[k] = p
-				k++
-			}
-		}
+	for k := 1; k < span; k++ {
+		start[k] += start[k-1]
+	}
+	for _, r := range rows {
+		k := rank[r] - lo
+		seg[start[k]] = r
+		start[k]++
 	}
 	return seg
 }
 
-// sampleFeatures picks cfg.MaxFeatures distinct feature indices.
+// sampleFeatures picks cfg.MaxFeatures distinct feature indices: the
+// first MaxFeatures of rng.Perm(nf), computed by Perm's own loop in
+// reused scratch, so the draws and the rng's stream position are
+// Perm's and nothing is allocated.
 func (b *treeBuilder) sampleFeatures() []int {
-	nf := b.fc.numFeatures
-	if b.cfg.MaxFeatures >= nf {
+	if b.cfg.MaxFeatures >= b.fc.numFeatures {
 		return b.allFeatures
 	}
-	return b.rng.Perm(nf)[:b.cfg.MaxFeatures]
+	m := b.perm
+	for i := range m {
+		j := b.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m[:b.cfg.MaxFeatures]
 }
 
 // leaf descends to the leaf for x without width validation; callers
