@@ -26,6 +26,12 @@
 //	-trace-out file             dump the decision ring as JSONL on exit
 //	-predict-addr addr          drift: stream slots to a running predictd instead of an in-process model
 //	-v                          print the telemetry counter summary on exit
+//
+// Every run is described by one scenario.Spec: -scenario loads it, and
+// otherwise -scale/-seed/-slots lower to scenario.Starlink. Explicitly
+// set -slots, -seed, -workers and -snapshot-workers override the
+// spec's fields. spec.Build lowers it for the local run; dist ships it
+// to the workers unchanged.
 package main
 
 import (
@@ -183,29 +189,12 @@ func runWorker(ctx context.Context, opt options) error {
 	return nil
 }
 
-// runDist shards the campaign across external worker processes and
-// prints the sha256 of the merged JSONL stream. With no -coord-workers
-// it runs the identical campaign single-process — producing the golden
-// hash a distributed run must match. A non-nil scn replaces the
-// (scale, seed) Starlink description: workers rebuild the scenario's
-// environment — constellation geometry, terminal placement, scheduler
-// config — from the spec shipped inside the campaign description.
-func runDist(ctx context.Context, opt options, reg *telemetry.Registry, scn *scenario.Spec) error {
-	spec := coord.CampaignSpec{Scale: opt.scale, Seed: opt.seed, Slots: opt.slots, Oracle: true,
-		SnapshotWorkers: opt.snapWorkers}
-	if scn != nil {
-		spec = coord.CampaignSpec{
-			Scenario:        scn,
-			Seed:            scn.Seed,
-			Slots:           scn.Campaign.Slots,
-			Oracle:          scn.Campaign.Oracle,
-			ResetEvery:      scn.Campaign.ResetEvery,
-			SnapshotWorkers: opt.snapWorkers,
-		}
-		if spec.SnapshotWorkers == 0 {
-			spec.SnapshotWorkers = scn.Campaign.SnapshotWorkers
-		}
-	}
+// runDist shards the spec's campaign across external worker processes
+// and prints the sha256 of the merged JSONL stream. Workers rebuild the
+// environment from the spec itself. With no -coord-workers it runs the
+// identical campaign single-process — producing the golden hash a
+// distributed run must match.
+func runDist(ctx context.Context, opt options, reg *telemetry.Registry, spec *scenario.Spec) error {
 	h := sha256.New()
 	var out io.Writer = h
 	if opt.coordOut != "" {
@@ -218,10 +207,11 @@ func runDist(ctx context.Context, opt options, reg *telemetry.Registry, scn *sce
 	}
 	start := time.Now()
 	if opt.coordWorkers == "" {
-		cfg, err := coord.BuildCampaign(spec)
+		built, err := spec.Build(scenario.BuildOptions{})
 		if err != nil {
 			return err
 		}
+		cfg := built.CampaignConfig()
 		cfg.Metrics = core.NewCampaignMetrics(reg)
 		enc := traceio.NewRecordEncoder(out)
 		stats, err := core.RunCampaignStream(ctx, cfg, func(rec core.SlotRecord) error {
@@ -281,52 +271,71 @@ func sumSkips(skips map[string]int) int {
 	return n
 }
 
-func run(ctx context.Context, what string, opt options) error {
-	// The registry exists only when something consumes it: the HTTP
-	// endpoint, the -v summary, or a decision dump. Otherwise every
-	// instrumented path stays on its nil fast branch.
-	var reg *telemetry.Registry
-	if opt.telemetryAddr != "" || opt.verbose {
-		reg = telemetry.NewRegistry()
-	}
-	// Resolve the scenario first: it replaces (scale, seed, slots) as
-	// the experiment description, and dist ships it to the workers.
-	var scn *scenario.Spec
+// runSpec returns the run description: the -scenario spec, or else
+// the Starlink spec the -scale/-seed/-slots flags lower to. Explicitly
+// set -slots, -seed, -workers and -snapshot-workers override the
+// spec's fields; their defaults never clobber what a spec file asked
+// for.
+func runSpec(opt options) (*scenario.Spec, error) {
+	spec := scenario.Starlink(experiments.Scale(opt.scale), opt.seed, opt.slots)
 	if opt.scenario != "" {
 		var err error
-		scn, err = scenario.Resolve(opt.scenario)
-		if err != nil {
-			return err
-		}
-		// Explicitly-set flags beat the spec file; the defaults (seed 7,
-		// slots 500) must not clobber what the scenario asked for.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "slots":
-				scn.Campaign.Slots = opt.slots
-			case "seed":
-				scn.Seed = opt.seed
-			}
-		})
-		if what != "" && what != "dist" {
-			return fmt.Errorf("-scenario runs its own pipeline; it combines only with the dist experiment (got %q)", what)
+		if spec, err = scenario.Resolve(opt.scenario); err != nil {
+			return nil, err
 		}
 	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "slots":
+			spec.Campaign.Slots = opt.slots
+		case "seed":
+			spec.Seed = opt.seed
+		case "workers":
+			spec.Campaign.Workers = opt.workers
+		case "snapshot-workers":
+			spec.Campaign.SnapshotWorkers = opt.snapWorkers
+		}
+	})
+	return spec, nil
+}
+
+// startTelemetry serves the registry (and the decision ring, when one
+// is recorded) on addr; a no-op without -telemetry-addr.
+func startTelemetry(ctx context.Context, addr string, reg *telemetry.Registry, trace *telemetry.DecisionTrace) error {
+	if addr == "" {
+		return nil
+	}
+	srv, err := telemetry.StartServer(ctx, addr, reg, trace)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "repro: telemetry on http://%s/metrics\n", srv.Addr())
+	return nil
+}
+
+func run(ctx context.Context, what string, opt options) error {
+	// The registry exists only when something consumes it: the HTTP
+	// endpoint, the -v summary, or the coordinator's shard gauges.
+	// Otherwise every instrumented path stays on its nil fast branch.
+	var reg *telemetry.Registry
+	if opt.telemetryAddr != "" || opt.verbose || what == "dist" {
+		reg = telemetry.NewRegistry()
+	}
+	spec, err := runSpec(opt)
+	if err != nil {
+		return err
+	}
+	if opt.scenario != "" && what != "" && what != "dist" {
+		return fmt.Errorf("-scenario runs its own pipeline; it combines only with the dist experiment (got %q)", what)
+	}
 	// dist never touches the local constellation — workers build their
-	// own environment from the spec — so it skips env construction
-	// entirely and the coordinator host stays lightweight.
+	// own environment from the spec — so the coordinator host stays
+	// lightweight.
 	if what == "dist" {
-		if reg == nil {
-			reg = telemetry.NewRegistry()
+		if err := startTelemetry(ctx, opt.telemetryAddr, reg, nil); err != nil {
+			return err
 		}
-		if opt.telemetryAddr != "" {
-			srv, err := telemetry.StartServer(ctx, opt.telemetryAddr, reg, nil)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "repro: telemetry on http://%s/metrics\n", srv.Addr())
-		}
-		if err := runDist(ctx, opt, reg, scn); err != nil {
+		if err := runDist(ctx, opt, reg, spec); err != nil {
 			return fmt.Errorf("dist: %w", err)
 		}
 		if opt.verbose {
@@ -334,40 +343,81 @@ func run(ctx context.Context, what string, opt options) error {
 		}
 		return nil
 	}
-	if scn != nil {
-		return runScenario(ctx, scn, opt, reg)
-	}
+
 	traceDepth := opt.traceDepth
 	if traceDepth == 0 && opt.traceOut != "" {
 		traceDepth = 4096
 	}
-	env, err := experiments.NewEnv(experiments.Config{
-		Scale: experiments.Scale(opt.scale), Seed: opt.seed, Workers: opt.workers,
-		SnapshotWorkers: opt.snapWorkers,
-		Telemetry:       reg, TraceDecisions: traceDepth,
-	})
+	built, err := spec.Build(scenario.BuildOptions{Telemetry: reg, TraceDecisions: traceDepth})
 	if err != nil {
 		return err
 	}
+	env := built.Env
 	env.Ctx = ctx
-	if opt.telemetryAddr != "" {
-		srv, err := telemetry.StartServer(ctx, opt.telemetryAddr, reg, env.Trace())
-		if err != nil {
+	if err := startTelemetry(ctx, opt.telemetryAddr, reg, env.Trace()); err != nil {
+		return err
+	}
+	if opt.scenario != "" {
+		err = runScenario(ctx, built, opt)
+	} else {
+		err = runExperiments(ctx, what, built, opt, reg)
+	}
+	if err != nil {
+		return err
+	}
+	if opt.traceOut != "" {
+		if err := dumpTrace(env, opt.traceOut); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "repro: telemetry on http://%s/metrics\n", srv.Addr())
 	}
-	fmt.Printf("# constellation: %d satellites (scale=%s seed=%d)\n\n", env.Cons.Len(), opt.scale, opt.seed)
-	slots, dir, fullGrid := opt.slots, opt.dir, opt.fullGrid
-	saveObs, loadObs, saveMdl, pcapPath := opt.saveObs, opt.loadObs, opt.saveMdl, opt.pcapPath
+	if opt.verbose {
+		printPropagationSkips(env)
+		printTelemetry(reg)
+	}
+	return nil
+}
+
+// collectObservations runs the spec's campaign once and returns its
+// chosen-only observations and statistics, also writing the
+// observations as JSONL to savePath when set. summary prints the
+// caller's headline before the campaign statistics.
+func collectObservations(built *scenario.Built, savePath string, summary func(n int)) ([]core.Observation, *core.CampaignStats, error) {
+	collect := &pipeline.CollectObservations{}
+	sinks := []pipeline.Sink{collect}
+	if savePath != "" {
+		f, err := os.Create(savePath)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer f.Close()
+		// The file fills as the campaign runs — one pass, no buffering
+		// of the whole trace.
+		sinks = append(sinks, pipeline.WriteObservations(f))
+	}
+	reg := built.Env.Telemetry
+	before := takeSkips(reg)
+	st, err := built.Env.StreamCampaign(built.CampaignConfig(), sinks...)
+	if err != nil {
+		return nil, nil, err
+	}
+	summary(len(collect.Obs))
+	printCampaignStats(st, reg, before)
+	return collect.Obs, st, nil
+}
+
+// runExperiments runs the named paper experiment (or all of them) on
+// the flag-described environment.
+func runExperiments(ctx context.Context, what string, built *scenario.Built, opt options, reg *telemetry.Registry) error {
+	env, slots := built.Env, built.Spec.Campaign.Slots
+	fmt.Printf("# constellation: %d satellites (scale=%s seed=%d)\n\n", env.Cons.Len(), opt.scale, built.Spec.Seed)
 
 	var obs []core.Observation
 	needObs := func() error {
 		if obs != nil {
 			return nil
 		}
-		if loadObs != "" {
-			f, err := os.Open(loadObs)
+		if opt.loadObs != "" {
+			f, err := os.Open(opt.loadObs)
 			if err != nil {
 				return err
 			}
@@ -385,34 +435,21 @@ func run(ctx context.Context, what string, opt options) error {
 			}
 			obs = collect.Obs
 			fmt.Printf("# loaded %d observations from %s (%d records, %d without a chosen satellite)\n\n",
-				len(obs), loadObs, counts.Total, counts.Total-counts.Served)
+				len(obs), opt.loadObs, counts.Total, counts.Total-counts.Served)
 			return nil
 		}
 		fmt.Printf("# running %d-slot oracle campaign over %d terminals...\n", slots, len(env.Terminals))
 		start := time.Now()
-		collect := &pipeline.CollectObservations{}
-		sinks := []pipeline.Sink{collect}
-		if saveObs != "" {
-			f, err := os.Create(saveObs)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			// The file fills as the campaign runs — one pass, no buffering
-			// of the whole trace.
-			sinks = append(sinks, pipeline.WriteObservations(f))
-		}
-		before := takeSkips(env.Telemetry)
-		st, err := env.StreamObservations(slots, sinks...)
+		var err error
+		obs, _, err = collectObservations(built, opt.saveObs, func(n int) {
+			fmt.Printf("# %d observations in %.1fs\n", n, time.Since(start).Seconds())
+		})
 		if err != nil {
 			return err
 		}
-		obs = collect.Obs
-		fmt.Printf("# %d observations in %.1fs\n", len(obs), time.Since(start).Seconds())
-		printCampaignStats(st, env.Telemetry, before)
 		fmt.Println()
-		if saveObs != "" {
-			fmt.Printf("# wrote observations to %s\n\n", saveObs)
+		if opt.saveObs != "" {
+			fmt.Printf("# wrote observations to %s\n\n", opt.saveObs)
 		}
 		return nil
 	}
@@ -423,15 +460,16 @@ func run(ctx context.Context, what string, opt options) error {
 	}
 	for _, ex := range experimentsToRun {
 		fmt.Printf("==== %s ====\n", ex)
+		var err error
 		switch ex {
 		case "fig2":
-			err = runFig2(env, pcapPath)
+			err = runFig2(env, opt.pcapPath)
 		case "stats":
 			err = runStats(env)
 		case "fig3":
-			err = runFig3(env, dir)
+			err = runFig3(env, opt.dir)
 		case "ident":
-			err = runIdent(env, dir)
+			err = runIdent(env, opt.dir)
 		case "fig4":
 			if err = needObs(); err == nil {
 				err = runFig4(env, obs)
@@ -450,12 +488,12 @@ func run(ctx context.Context, what string, opt options) error {
 			}
 		case "fig8":
 			if err = needObs(); err == nil {
-				err = runFig8(env, obs, fullGrid, saveMdl)
+				err = runFig8(env, obs, opt.fullGrid, opt.saveMdl)
 			}
 		case "stream":
 			err = runStream(env, slots)
 		case "drift":
-			err = runDriftExperiment(opt, reg)
+			err = runDriftExperiment(built.Spec, opt, reg)
 		case "ext":
 			err = runExtensions(env, slots)
 		default:
@@ -466,59 +504,29 @@ func run(ctx context.Context, what string, opt options) error {
 		}
 		fmt.Println()
 	}
-	if opt.traceOut != "" {
-		if err := dumpTrace(env, opt.traceOut); err != nil {
-			return err
-		}
-	}
-	if opt.verbose {
-		printPropagationSkips(env)
-		printTelemetry(reg)
-	}
 	return nil
 }
 
-// runScenario executes a declarative scenario end to end: build the
-// environment from the spec, validate identification (§4), run one
-// oracle campaign, and feed the collected observations through every
-// enabled analysis — the §5 behavioral suite, the §6 forest, and the
+// runScenario executes a declarative scenario end to end on its built
+// environment: validate identification (§4), run the spec's campaign
+// once, and feed the collected observations through every enabled
+// analysis — the §5 behavioral suite, the §6 forest, and the
 // planted-preference recovery experiment. The output carries no
 // wall-clock timings on purpose: two runs of the same scenario must
 // be byte-identical, which is what the CI smoke job asserts.
-func runScenario(ctx context.Context, spec *scenario.Spec, opt options, reg *telemetry.Registry) error {
-	traceDepth := opt.traceDepth
-	if traceDepth == 0 && opt.traceOut != "" {
-		traceDepth = 4096
-	}
-	built, err := spec.Build(scenario.BuildOptions{
-		Telemetry:       reg,
-		TraceDecisions:  traceDepth,
-		Workers:         opt.workers,
-		SnapshotWorkers: opt.snapWorkers,
-	})
-	if err != nil {
-		return err
-	}
-	env := built.Env
-	env.Ctx = ctx
-	if opt.telemetryAddr != "" {
-		srv, err := telemetry.StartServer(ctx, opt.telemetryAddr, reg, env.Trace())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "repro: telemetry on http://%s/metrics\n", srv.Addr())
-	}
+func runScenario(ctx context.Context, built *scenario.Built, opt options) error {
+	spec, env := built.Spec, built.Env
 	fmt.Printf("==== scenario %s ====\n", spec.Name)
 	if spec.Description != "" {
 		fmt.Printf("# %s\n", spec.Description)
 	}
 	fmt.Printf("# constellation: %d satellites; terminals: %d; seed %d; %d slots\n",
-		env.Cons.Len(), len(env.Terminals), spec.Seed, built.Slots)
+		env.Cons.Len(), len(env.Terminals), spec.Seed, spec.Campaign.Slots)
 
 	if spec.AnalysisEnabled("ident") {
 		fmt.Println("\n---- ident ----")
-		fmt.Printf("§4 identification validation over %d slots (DTW vs ground truth)\n", built.IdentSlots)
-		res, err := env.IdentValidation(built.IdentSlots, false)
+		fmt.Printf("§4 identification validation over %d slots (DTW vs ground truth)\n", built.IdentSlots())
+		res, err := env.IdentValidation(built.IdentSlots(), false)
 		if err != nil {
 			return fmt.Errorf("ident: %w", err)
 		}
@@ -533,30 +541,22 @@ func runScenario(ctx context.Context, spec *scenario.Spec, opt options, reg *tel
 		needObs = needObs || spec.AnalysisEnabled(a)
 	}
 	if !needObs {
-		return finishScenario(env, opt, reg)
+		return nil
 	}
-	collect := &pipeline.CollectObservations{}
-	sinks := []pipeline.Sink{collect}
 	savePath := spec.Outputs.Observations
 	if opt.saveObs != "" {
 		savePath = opt.saveObs
 	}
-	if savePath != "" {
-		f, err := os.Create(savePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sinks = append(sinks, pipeline.WriteObservations(f))
+	mode := "oracle"
+	if !spec.Campaign.Oracle {
+		mode = "measured"
 	}
-	before := takeSkips(env.Telemetry)
-	st, err := env.StreamObservations(built.Slots, sinks...)
+	obs, _, err := collectObservations(built, savePath, func(n int) {
+		fmt.Printf("\n# %d observations from the %d-slot %s campaign\n", n, spec.Campaign.Slots, mode)
+	})
 	if err != nil {
 		return err
 	}
-	obs := collect.Obs
-	fmt.Printf("\n# %d observations from the %d-slot oracle campaign\n", len(obs), built.Slots)
-	printCampaignStats(st, env.Telemetry, before)
 	if savePath != "" {
 		fmt.Printf("# wrote observations to %s\n", savePath)
 	}
@@ -571,44 +571,16 @@ func runScenario(ctx context.Context, spec *scenario.Spec, opt options, reg *tel
 		}
 		return nil
 	}
-	if err := stage("aoe", func() error {
-		a, err := env.Fig4(obs)
-		if err != nil {
-			return err
-		}
-		printAOE(a)
-		return nil
-	}); err != nil {
+	if err := stage("aoe", func() error { return runFig4(env, obs) }); err != nil {
 		return err
 	}
-	if err := stage("azimuth", func() error {
-		a, err := env.Fig5(obs)
-		if err != nil {
-			return err
-		}
-		printAzimuth(a)
-		return nil
-	}); err != nil {
+	if err := stage("azimuth", func() error { return runFig5(env, obs) }); err != nil {
 		return err
 	}
-	if err := stage("launch", func() error {
-		a, err := env.Fig6(obs)
-		if err != nil {
-			return err
-		}
-		printLaunch(a)
-		return nil
-	}); err != nil {
+	if err := stage("launch", func() error { return runFig6(env, obs) }); err != nil {
 		return err
 	}
-	if err := stage("sunlit", func() error {
-		a, err := env.Fig7(obs)
-		if err != nil {
-			return err
-		}
-		printSunlit(a)
-		return nil
-	}); err != nil {
+	if err := stage("sunlit", func() error { return runFig7(env, obs) }); err != nil {
 		return err
 	}
 	if err := stage("model", func() error {
@@ -616,7 +588,7 @@ func runScenario(ctx context.Context, spec *scenario.Spec, opt options, reg *tel
 	}); err != nil {
 		return err
 	}
-	if err := stage("recovery", func() error {
+	return stage("recovery", func() error {
 		planted, ok := spec.PlantedWeights()
 		if !ok {
 			return fmt.Errorf("no planted scheduler weights in the spec")
@@ -627,25 +599,7 @@ func runScenario(ctx context.Context, spec *scenario.Spec, opt options, reg *tel
 		}
 		printRecovery(res)
 		return nil
-	}); err != nil {
-		return err
-	}
-	return finishScenario(env, opt, reg)
-}
-
-// finishScenario mirrors the non-scenario run epilogue: decision-ring
-// dump and the -v telemetry summary.
-func finishScenario(env *experiments.Env, opt options, reg *telemetry.Registry) error {
-	if opt.traceOut != "" {
-		if err := dumpTrace(env, opt.traceOut); err != nil {
-			return err
-		}
-	}
-	if opt.verbose {
-		printPropagationSkips(env)
-		printTelemetry(reg)
-	}
-	return nil
+	})
 }
 
 // printRecovery reports the planted-preference recovery experiment:
@@ -994,7 +948,7 @@ func runStream(env *experiments.Env, slots int) error {
 // detection and recovery. With -predict-addr the slot stream feeds a
 // running predictd over dishrpc; otherwise a synchronous in-process
 // service keeps the output deterministic.
-func runDriftExperiment(opt options, reg *telemetry.Registry) error {
+func runDriftExperiment(spec *scenario.Spec, opt options, reg *telemetry.Registry) error {
 	var scorer pipeline.OnlineScorer
 	if opt.predictAddr != "" {
 		c, err := predict.Dial(opt.predictAddr)
@@ -1008,7 +962,7 @@ func runDriftExperiment(opt options, reg *telemetry.Registry) error {
 		svc, err := predict.NewService(predict.Config{
 			Window: 512, RefitEvery: 128, MinFit: 256,
 			Trees: 20, MaxDepth: 10,
-			Seed: opt.seed, Workers: opt.workers,
+			Seed: spec.Seed, Workers: spec.Campaign.Workers,
 			Synchronous: true, Registry: reg,
 		})
 		if err != nil {
@@ -1017,14 +971,10 @@ func runDriftExperiment(opt options, reg *telemetry.Registry) error {
 		scorer = svc
 	}
 	res, err := scenario.RunDrift(scenario.DriftConfig{
-		Scale:           experiments.Scale(opt.scale),
-		Seed:            opt.seed,
-		Slots:           opt.slots,
-		Scorer:          scorer,
-		Offline:         opt.predictAddr == "", // remote runs skip the batch cross-check
-		Workers:         opt.workers,
-		SnapshotWorkers: opt.snapWorkers,
-		Telemetry:       reg,
+		Spec:      spec,
+		Telemetry: reg,
+		Scorer:    scorer,
+		Offline:   opt.predictAddr == "", // remote runs skip the batch cross-check
 	})
 	if err != nil {
 		return err

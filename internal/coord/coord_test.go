@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dishrpc"
+	"repro/internal/experiments"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/traceio"
@@ -19,19 +21,20 @@ import (
 
 // testSpec is small and oracle-mode so a full campaign runs in
 // milliseconds per worker while still exercising every layer.
-func testSpec(slots int) CampaignSpec {
-	return CampaignSpec{Scale: "small", Seed: 41, Slots: slots, Oracle: true}
+func testSpec(slots int) *scenario.Spec {
+	return scenario.Starlink(experiments.Small, 41, slots)
 }
 
 // serialBytes runs the spec single-process and returns the traceio
 // JSONL encoding — the golden stream every distributed run must match
 // byte for byte.
-func serialBytes(t *testing.T, spec CampaignSpec) []byte {
+func serialBytes(t *testing.T, spec *scenario.Spec) []byte {
 	t.Helper()
-	cfg, err := BuildCampaign(spec)
+	built, err := spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := built.CampaignConfig()
 	var buf bytes.Buffer
 	enc := traceio.NewRecordEncoder(&buf)
 	if _, err := core.RunCampaignStream(context.Background(), cfg, func(rec core.SlotRecord) error {
@@ -97,8 +100,8 @@ func TestCoordinatorMatchesSerial(t *testing.T) {
 			t.Fatalf("workers=%d shards=%d: merged stream differs from serial (%d vs %d bytes)",
 				tc.workers, tc.shards, out.Len(), len(golden))
 		}
-		if res.Records != res.Terminals*spec.Slots {
-			t.Errorf("records = %d, want %d", res.Records, res.Terminals*spec.Slots)
+		if res.Records != res.Terminals*spec.Campaign.Slots {
+			t.Errorf("records = %d, want %d", res.Records, res.Terminals*spec.Campaign.Slots)
 		}
 		if res.Reassigned != 0 {
 			t.Errorf("healthy run reassigned %d shards", res.Reassigned)
@@ -181,7 +184,7 @@ func TestCoordinatorWorkerDeath(t *testing.T) {
 		got := decodeAll(t, f)
 		f.Close()
 		var want []core.SlotRecord
-		for slot := 0; slot < spec.Slots; slot++ {
+		for slot := 0; slot < spec.Campaign.Slots; slot++ {
 			want = append(want, goldenRecs[slot*nTerms+lo:slot*nTerms+hi]...)
 		}
 		if len(got) != len(want) {
@@ -296,7 +299,7 @@ func TestCoordinatorAllWorkersDead(t *testing.T) {
 
 // TestCoordinatorScenarioSpec: the coordinator runs a non-Starlink
 // scenario — workers rebuild a Walker-star constellation and
-// grid-placed terminals from the spec carried in CampaignSpec, not
+// grid-placed terminals from the spec the coordinator ships, not
 // from the baked-in Starlink shells — and the distributed merge is
 // byte-identical to the serial scenario run.
 func TestCoordinatorScenarioSpec(t *testing.T) {
@@ -323,7 +326,7 @@ func TestCoordinatorScenarioSpec(t *testing.T) {
 	if err := scn.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	spec := CampaignSpec{Scenario: scn, Seed: scn.Seed, Slots: scn.Campaign.Slots, Oracle: true}
+	spec := scn
 	golden := serialBytes(t, spec)
 	if len(golden) == 0 {
 		t.Fatal("empty golden scenario stream")
@@ -360,5 +363,49 @@ func TestCoordinatorScenarioSpec(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), golden) {
 		t.Fatalf("distributed scenario stream differs from serial (%d vs %d bytes)", out.Len(), len(golden))
+	}
+}
+
+// TestWorkerInfoFromSpec: coord_info answers the fleet size from the
+// spec's terminal placement, and a malformed or oversized spec is
+// rejected over the wire.
+func TestWorkerInfoFromSpec(t *testing.T) {
+	client, err := dishrpc.Dial(startWorker(t, 0).Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	region := scenario.RegionSpec{LatMinDeg: 30, LatMaxDeg: 45, LonMinDeg: -110, LonMaxDeg: -80}
+	spec := &scenario.Spec{
+		Version:       scenario.SpecVersion,
+		Name:          "grid-info",
+		Seed:          1,
+		Constellation: scenario.ConstellationSpec{Preset: "starlink-full"},
+		Terminals: scenario.TerminalsSpec{
+			Preset: "study",
+			Grids:  []scenario.GridSpec{{Prefix: "g", Region: region, Rows: 3, Cols: 5}},
+		},
+		Campaign: scenario.CampaignSpec{Slots: 1, Oracle: true},
+	}
+	var info infoResult
+	if err := client.Call("coord_info", spec, &info); err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 + 3*5; info.Terminals != want {
+		t.Fatalf("coord_info reports %d terminals, want %d", info.Terminals, want)
+	}
+
+	over := *spec
+	over.Terminals = scenario.TerminalsSpec{Random: []scenario.RandomSpec{
+		{Prefix: "r", Region: region, Count: scenario.MaxTerminals + 1},
+	}}
+	for name, params := range map[string]any{
+		"over MaxTerminals": &over,
+		"unknown field":     json.RawMessage(`{"version": 1, "name": "x", "seed": 1, "campaign": {"slots": 1}, "terminalz": {}}`),
+		"not a spec":        json.RawMessage(`[1, 2, 3]`),
+	} {
+		if err := client.Call("coord_info", params, &info); err == nil {
+			t.Errorf("%s: coord_info accepted the spec (%d terminals)", name, info.Terminals)
+		}
 	}
 }

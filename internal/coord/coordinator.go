@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dishrpc"
+	"repro/internal/scenario"
 	"repro/internal/telemetry"
 	"repro/internal/traceio"
 )
@@ -21,8 +22,9 @@ import (
 type Coordinator struct {
 	// Workers are the worker server addresses. Required.
 	Workers []string
-	// Spec describes the campaign; every worker rebuilds it verbatim.
-	Spec CampaignSpec
+	// Spec describes the run; every worker rebuilds it verbatim, and
+	// Spec.Campaign.Slots keys the merge loop and shard journals.
+	Spec *scenario.Spec
 	// Shards is the number of terminal shards; 0 uses len(Workers).
 	// Shard i starts on worker i mod len(Workers).
 	Shards int
@@ -129,6 +131,12 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 	if c.JournalDir == "" {
 		return nil, fmt.Errorf("coord: journal dir required")
 	}
+	if c.Spec == nil {
+		return nil, fmt.Errorf("coord: no spec")
+	}
+	if err := c.Spec.Validate(); err != nil {
+		return nil, fmt.Errorf("coord: %w", err)
+	}
 	if err := os.MkdirAll(c.JournalDir, 0o755); err != nil {
 		return nil, fmt.Errorf("coord: journal dir: %w", err)
 	}
@@ -206,7 +214,7 @@ func (c *Coordinator) Run(ctx context.Context) (*Result, error) {
 	if c.Out != nil {
 		enc = traceio.NewRecordEncoder(c.Out)
 	}
-	for slot := 0; slot < c.Spec.Slots; slot++ {
+	for slot := 0; slot < c.Spec.Campaign.Slots; slot++ {
 		for _, s := range shards {
 			recs, err := s.take(ctx, s.width())
 			if err != nil {
@@ -447,7 +455,7 @@ func (c *Coordinator) driveShard(ctx context.Context, s *shardState,
 	if err := s.client.Call("coord_start", start, nil); err != nil {
 		return err
 	}
-	want := s.width() * c.Spec.Slots
+	want := s.width() * c.Spec.Campaign.Slots
 	for {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -3,7 +3,7 @@
 // single-process run would produce.
 //
 // The design leans on one property of the ground-truth scheduler: it
-// is deterministic from (scale, seed) but stateful across slots, so it
+// is deterministic from its spec but stateful across slots, so it
 // cannot be split — every worker runs the FULL scheduler from slot 0
 // and computes records only for its contiguous terminal shard
 // (core.CampaignConfig.Shard). The coordinator fetches each shard's
@@ -24,6 +24,7 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -32,86 +33,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dishrpc"
-	"repro/internal/experiments"
 	"repro/internal/scenario"
 )
-
-// CampaignSpec is the campaign description the coordinator sends to
-// every worker. Workers rebuild the identical environment from it, so
-// the spec must pin everything determinism depends on.
-type CampaignSpec struct {
-	// Scale is the constellation density (experiments.Scale). Ignored
-	// when Scenario is set.
-	Scale string `json:"scale"`
-	Seed  int64  `json:"seed"`
-	Slots int    `json:"slots"`
-	// Scenario, when non-nil, carries a full declarative scenario —
-	// constellation design (including non-Starlink Walker-star
-	// geometry), terminal placement, scheduler config — and each
-	// worker rebuilds its environment from it instead of assuming the
-	// Starlink shells. The coordinator-level campaign shape (Slots,
-	// Oracle, ResetEvery, SnapshotWorkers) stays authoritative here:
-	// the merge loop and shard journals are keyed on it.
-	Scenario *scenario.Spec `json:"scenario,omitempty"`
-	// Oracle labels slots with scheduler ground truth instead of running
-	// obstruction-map identification.
-	Oracle bool `json:"oracle"`
-	// ResetEvery is the terminal reset cadence in slots (0 = default).
-	ResetEvery int `json:"reset_every,omitempty"`
-	// SnapshotWorkers is the per-slot propagation fan-out (0 =
-	// GOMAXPROCS). Snapshots are byte-identical at every value, so this
-	// is safe to vary per worker host without breaking shard replay.
-	SnapshotWorkers int `json:"snapshot_workers,omitempty"`
-}
-
-// Builder turns a spec into a runnable campaign config. The returned
-// config must be freshly built on every call: the scheduler is
-// stateful, and a reassigned shard restarts it from slot 0.
-type Builder func(CampaignSpec) (core.CampaignConfig, error)
-
-// BuildCampaign is the default Builder: a full experiments environment
-// from the scenario spec when one is attached, else from (scale,
-// seed) — exactly what cmd/repro runs single-process.
-func BuildCampaign(spec CampaignSpec) (core.CampaignConfig, error) {
-	var env *experiments.Env
-	var err error
-	if spec.Scenario != nil {
-		var built *scenario.Built
-		built, err = spec.Scenario.Build(scenario.BuildOptions{SnapshotWorkers: spec.SnapshotWorkers})
-		if err != nil {
-			return core.CampaignConfig{}, err
-		}
-		env = built.Env
-	} else {
-		env, err = experiments.NewEnv(experiments.Config{
-			Scale:           experiments.Scale(spec.Scale),
-			Seed:            spec.Seed,
-			SnapshotWorkers: spec.SnapshotWorkers,
-		})
-		if err != nil {
-			return core.CampaignConfig{}, err
-		}
-	}
-	return core.CampaignConfig{
-		Scheduler:       env.Sched,
-		Identifier:      env.Ident,
-		Start:           env.Start(),
-		Slots:           spec.Slots,
-		Oracle:          spec.Oracle,
-		ResetEvery:      spec.ResetEvery,
-		SnapshotWorkers: spec.SnapshotWorkers,
-		Snapshots:       env.Snaps,
-	}, nil
-}
 
 // Protocol messages. The transport is the dishrpc length-prefixed
 // framing; methods are dispatched by name through a Handler server.
 type startParams struct {
-	Shard int          `json:"shard"`
-	Lo    int          `json:"lo"`
-	Hi    int          `json:"hi"`
-	From  int          `json:"from"` // EmitFromSlot: first unacked slot
-	Spec  CampaignSpec `json:"spec"`
+	Shard int            `json:"shard"`
+	Lo    int            `json:"lo"`
+	Hi    int            `json:"hi"`
+	From  int            `json:"from"` // EmitFromSlot: first unacked slot
+	Spec  *scenario.Spec `json:"spec"`
 }
 
 type fetchParams struct {
@@ -136,8 +68,6 @@ type infoResult struct {
 // worker can hold several shards at once — after a peer dies, its
 // shards land on the survivors.
 type Worker struct {
-	// Builder constructs campaigns from specs; nil uses BuildCampaign.
-	Builder Builder
 	// RecordDelay throttles record production (test and fault-injection
 	// hook: a campaign slow enough to kill a worker in the middle of).
 	RecordDelay time.Duration
@@ -179,15 +109,17 @@ func (w *Worker) Handle(method string, params json.RawMessage) (any, error) {
 	case "coord_ping":
 		return "ok", nil
 	case "coord_info":
-		var spec CampaignSpec
-		if err := json.Unmarshal(params, &spec); err != nil {
-			return nil, fmt.Errorf("bad spec: %v", err)
-		}
-		cfg, err := w.builder()(spec)
+		// The fleet size is the spec's terminal placement; answering it
+		// needs no constellation or scheduler.
+		spec, err := scenario.Parse(bytes.NewReader(params))
 		if err != nil {
 			return nil, err
 		}
-		return infoResult{Terminals: len(cfg.Scheduler.Terminals())}, nil
+		vps, err := spec.VantagePoints()
+		if err != nil {
+			return nil, err
+		}
+		return infoResult{Terminals: len(vps)}, nil
 	case "coord_start":
 		var p startParams
 		if err := json.Unmarshal(params, &p); err != nil {
@@ -205,22 +137,22 @@ func (w *Worker) Handle(method string, params json.RawMessage) (any, error) {
 	}
 }
 
-func (w *Worker) builder() Builder {
-	if w.Builder != nil {
-		return w.Builder
-	}
-	return BuildCampaign
-}
-
 // start launches (or relaunches) a shard campaign. A relaunch cancels
 // the previous run of the same shard id: the coordinator only
 // restarts a shard it has given up on, and stale records must not mix
 // with the replay.
 func (w *Worker) start(p startParams) error {
-	cfg, err := w.builder()(p.Spec)
+	if p.Spec == nil {
+		return fmt.Errorf("start params carry no spec")
+	}
+	// Build afresh on every start: the scheduler is stateful, and a
+	// reassigned shard restarts it from slot 0. The lowering is the one
+	// a single-process run uses, so the shards merge to its stream.
+	built, err := p.Spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		return err
 	}
+	cfg := built.CampaignConfig()
 	cfg.Shard = core.ShardRange{Lo: p.Lo, Hi: p.Hi}
 	cfg.EmitFromSlot = p.From
 

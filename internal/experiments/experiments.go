@@ -145,6 +145,10 @@ type Env struct {
 	// campaign this environment runs, so each slot propagates (and
 	// indexes) the constellation once globally.
 	Snaps *constellation.SnapshotCache
+
+	// cfg is the config this environment was built from; Sibling
+	// derives comparison environments from it.
+	cfg Config
 }
 
 // Trace returns the decision-trace ring, nil when tracing is off.
@@ -223,7 +227,7 @@ func NewEnv(cfg Config) (*Env, error) {
 	}
 	e := &Env{Cons: cons, Sched: sched, Ident: ident, Terminals: terms, Seed: cfg.Seed,
 		Workers: cfg.Workers, Telemetry: cfg.Telemetry,
-		Snaps: snaps}
+		Snaps: snaps, cfg: cfg}
 	e.Metrics = core.NewCampaignMetrics(cfg.Telemetry)
 	if cfg.TraceDecisions > 0 {
 		if e.Metrics == nil {
@@ -234,6 +238,22 @@ func NewEnv(cfg Config) (*Env, error) {
 		e.Metrics.Trace = telemetry.NewDecisionTrace(cfg.TraceDecisions)
 	}
 	return e, nil
+}
+
+// Sibling builds a fresh environment from this one's config with one
+// change applied: the same constellation design, seed, worker pools and
+// telemetry, so a comparison run (another terminal set, another
+// scheduler) differs from its parent only in what change sets. The
+// sibling shares the parent's cancellation context.
+func (e *Env) Sibling(change func(*Config)) (*Env, error) {
+	cfg := e.cfg
+	change(&cfg)
+	s, err := NewEnv(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.Ctx = e.Ctx
+	return s, nil
 }
 
 // Start returns the campaign start time (one hour past the TLE epoch,
@@ -509,7 +529,15 @@ func (e *Env) CampaignSource(slots int, oracle bool) *pipeline.Campaign {
 // input rows), and returns the campaign's O(1)-memory summary —
 // including how many records were dropped on the way and why.
 func (e *Env) StreamObservations(slots int, sinks ...pipeline.Sink) (*core.CampaignStats, error) {
-	src := e.CampaignSource(slots, true)
+	return e.StreamCampaign(e.CampaignSource(slots, true).Config, sinks...)
+}
+
+// StreamCampaign drives the campaign cfg describes through the
+// pipeline, feeding every sink its chosen-only observation stream, and
+// returns the campaign summary. cfg normally comes from this
+// environment (CampaignSource, or a scenario's lowering of it).
+func (e *Env) StreamCampaign(cfg core.CampaignConfig, sinks ...pipeline.Sink) (*core.CampaignStats, error) {
+	src := &pipeline.Campaign{Config: cfg}
 	p := &pipeline.Pipeline{
 		Source:  src,
 		Stages:  []pipeline.Stage{pipeline.ChosenOnly()},

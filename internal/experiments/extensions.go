@@ -56,11 +56,7 @@ func (e *Env) HemisphereComparison(slots int) (*HemisphereResult, error) {
 	if slots == 0 {
 		slots = 200
 	}
-	south, err := NewEnv(Config{
-		Scale:         scaleOf(e),
-		Seed:          e.Seed,
-		VantagePoints: geo.SouthernVantagePoints(),
-	})
+	south, err := e.Sibling(func(c *Config) { c.VantagePoints = geo.SouthernVantagePoints() })
 	if err != nil {
 		return nil, fmt.Errorf("experiments: southern env: %w", err)
 	}
@@ -103,19 +99,6 @@ func (e *Env) HemisphereComparison(slots int) (*HemisphereResult, error) {
 	return res, nil
 }
 
-// scaleOf recovers the scale used to build an Env by satellite count —
-// good enough for spawning a sibling environment.
-func scaleOf(e *Env) Scale {
-	switch n := e.Cons.Len(); {
-	case n <= 900:
-		return Small
-	case n <= 2500:
-		return Medium
-	default:
-		return Full
-	}
-}
-
 // LoadSensitivityResult is the §8 load-hypothesis test.
 type LoadSensitivityResult struct {
 	// WithHiddenLoad is holdout top-5 accuracy against the default
@@ -146,14 +129,14 @@ func (e *Env) LoadSensitivity(slots int) (*LoadSensitivityResult, error) {
 	}
 	noLoad := scheduler.DefaultWeights()
 	noLoad.Load = 0
-	quiet, err := NewEnv(Config{Scale: scaleOf(e), Seed: e.Seed, Weights: noLoad})
+	quiet, err := e.Sibling(func(c *Config) { c.Weights = noLoad })
 	if err != nil {
 		return nil, fmt.Errorf("experiments: no-load env: %w", err)
 	}
 	det := noLoad
 	det.NoiseStd = 1e-9
 	det.Charge = 0 // battery state is as unobservable as load
-	deterministic, err := NewEnv(Config{Scale: scaleOf(e), Seed: e.Seed, Weights: det})
+	deterministic, err := e.Sibling(func(c *Config) { c.Weights = det })
 	if err != nil {
 		return nil, fmt.Errorf("experiments: deterministic env: %w", err)
 	}
@@ -204,7 +187,7 @@ func (e *Env) GSOAblation(slots int) (*GSOAblationResult, error) {
 	if slots == 0 {
 		slots = 200
 	}
-	noGSO, err := NewEnv(Config{Scale: scaleOf(e), Seed: e.Seed, GSOProtectionDeg: -1})
+	noGSO, err := e.Sibling(func(c *Config) { c.GSOProtectionDeg = -1 })
 	if err != nil {
 		return nil, fmt.Errorf("experiments: no-GSO env: %w", err)
 	}

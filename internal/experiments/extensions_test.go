@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/telemetry"
+)
 
 func TestHemisphereComparison(t *testing.T) {
 	e, _ := smallEnv(t)
@@ -136,5 +140,44 @@ func TestMotionVsReallocation(t *testing.T) {
 	}
 	if _, err := e.MotionVsReallocation("Atlantis", 10); err == nil {
 		t.Error("unknown terminal accepted")
+	}
+}
+
+// TestSiblingInheritsConfig: the §8 comparison environments are copies
+// of their parent's config with one field changed, so a serial,
+// instrumented parent yields serial, instrumented siblings over the
+// same constellation, and their campaigns land in the parent's
+// registry.
+func TestSiblingInheritsConfig(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	e, err := NewEnv(Config{Scale: Small, Seed: 3, Workers: 1, SnapshotWorkers: 1, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sib, err := e.Sibling(func(c *Config) { c.GSOProtectionDeg = -1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sib.Workers != 1 || sib.cfg.SnapshotWorkers != 1 {
+		t.Errorf("sibling workers %d, snapshot workers %d; want the parent's 1, 1", sib.Workers, sib.cfg.SnapshotWorkers)
+	}
+	if sib.Telemetry != reg {
+		t.Error("sibling lost the parent's telemetry registry")
+	}
+	if sib.Cons.Fingerprint() != e.Cons.Fingerprint() {
+		t.Error("sibling constellation differs from the parent's")
+	}
+	if sib.cfg.GSOProtectionDeg != -1 || e.cfg.GSOProtectionDeg != 0 {
+		t.Errorf("change applied as %v (sibling) / %v (parent)", sib.cfg.GSOProtectionDeg, e.cfg.GSOProtectionDeg)
+	}
+
+	// GSOAblation runs one campaign on the parent and one on its
+	// sibling: both must count.
+	const slots = 10
+	if _, err := e.GSOAblation(slots); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Snapshot().Counter("campaign_slots_total"); got != 2*slots {
+		t.Errorf("campaign_slots_total = %d after GSOAblation(%d), want %d (parent + sibling)", got, slots, 2*slots)
 	}
 }

@@ -9,36 +9,38 @@ import (
 	"repro/internal/telemetry"
 )
 
-// BuildOptions carries host-side knobs that are not part of the spec:
-// instrumentation and machine-shape overrides. The zero value is a
-// plain build.
+// BuildOptions carries the host-side instrumentation knobs that are
+// not part of the run description. The zero value is a plain build.
 type BuildOptions struct {
 	// Telemetry wires the environment into a registry (nil disables).
 	Telemetry *telemetry.Registry
 	// TraceDecisions > 0 records the last N campaign decisions.
 	TraceDecisions int
-	// Workers / SnapshotWorkers override the spec's campaign values
-	// when non-zero (CLI flags beat the file; results are identical
-	// at every value, only the cost changes).
-	Workers         int
-	SnapshotWorkers int
 }
 
-// Built is a lowered scenario: the ready environment plus the
-// campaign shape the spec asked for.
+// Built is a lowered scenario: the spec and the ready environment it
+// describes. The campaign shape stays in Spec.Campaign.
 type Built struct {
 	Spec *Spec
 	Env  *experiments.Env
-	// Slots/Oracle/ResetEvery shape the main campaign; IdentSlots
-	// bounds the §4 identification-validation run.
-	Slots      int
-	IdentSlots int
-	Oracle     bool
-	ResetEvery int
+}
+
+// Starlink is the spec the repro -scale/-seed/-slots flags describe:
+// the scale's Starlink Walker-delta shells over the paper's four
+// sites, default scheduler, an oracle campaign of the given length.
+func Starlink(scale experiments.Scale, seed int64, slots int) *Spec {
+	return &Spec{
+		Version:       SpecVersion,
+		Name:          "starlink-" + string(scale),
+		Seed:          seed,
+		Constellation: ConstellationSpec{Preset: "starlink-" + string(scale)},
+		Terminals:     TerminalsSpec{Preset: "study"},
+		Campaign:      CampaignSpec{Slots: slots, Oracle: true},
+	}
 }
 
 // EnvConfig lowers the spec into an experiments.Config. Host-side
-// knobs (telemetry, tracing, worker overrides) come from opt.
+// instrumentation comes from opt.
 func (s *Spec) EnvConfig(opt BuildOptions) (experiments.Config, error) {
 	shells, err := s.Shells()
 	if err != nil {
@@ -60,14 +62,6 @@ func (s *Spec) EnvConfig(opt BuildOptions) (experiments.Config, error) {
 	for _, g := range s.Scheduler.GroundStations {
 		gs = append(gs, astro.Geodetic{LatDeg: g.LatDeg, LonDeg: g.LonDeg, AltKm: g.AltKm})
 	}
-	workers := s.Campaign.Workers
-	if opt.Workers != 0 {
-		workers = opt.Workers
-	}
-	snapWorkers := s.Campaign.SnapshotWorkers
-	if opt.SnapshotWorkers != 0 {
-		snapWorkers = opt.SnapshotWorkers
-	}
 	return experiments.Config{
 		Seed:                  s.Seed,
 		Shells:                shells,
@@ -83,8 +77,8 @@ func (s *Spec) EnvConfig(opt BuildOptions) (experiments.Config, error) {
 		GSMinElevationDeg:     s.Scheduler.GSMinElevationDeg,
 		DisableBattery:        s.Scheduler.DisableBattery,
 		VantagePoints:         vps,
-		Workers:               workers,
-		SnapshotWorkers:       snapWorkers,
+		Workers:               s.Campaign.Workers,
+		SnapshotWorkers:       s.Campaign.SnapshotWorkers,
 		Telemetry:             opt.Telemetry,
 		TraceDecisions:        opt.TraceDecisions,
 	}, nil
@@ -103,35 +97,33 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	identSlots := s.Campaign.IdentSlots
-	if identSlots == 0 {
-		identSlots = s.Campaign.Slots
-		if identSlots > 125 {
-			identSlots = 125 // the study's 500-identification budget
-		}
+	return &Built{Spec: s, Env: env}, nil
+}
+
+// IdentSlots bounds the §4 identification-validation run: the spec's
+// ident_slots, else min(slots, 125) — the study's 500-identification
+// budget over four terminals.
+func (b *Built) IdentSlots() int {
+	if n := b.Spec.Campaign.IdentSlots; n > 0 {
+		return n
 	}
-	return &Built{
-		Spec:       s,
-		Env:        env,
-		Slots:      s.Campaign.Slots,
-		IdentSlots: identSlots,
-		Oracle:     s.Campaign.Oracle,
-		ResetEvery: s.Campaign.ResetEvery,
-	}, nil
+	return min(b.Spec.Campaign.Slots, 125)
 }
 
 // CampaignConfig lowers the built scenario into the campaign engine's
 // config — the same construction Env.CampaignSource uses, so a
 // scenario that mirrors the default environment produces a
-// bit-identical record stream.
+// bit-identical record stream. Every campaign run from a spec, local
+// or sharded, starts here.
 func (b *Built) CampaignConfig() core.CampaignConfig {
+	c := &b.Spec.Campaign
 	return core.CampaignConfig{
 		Scheduler:  b.Env.Sched,
 		Identifier: b.Env.Ident,
 		Start:      b.Env.Start(),
-		Slots:      b.Slots,
-		Oracle:     b.Oracle,
-		ResetEvery: b.ResetEvery,
+		Slots:      c.Slots,
+		Oracle:     c.Oracle,
+		ResetEvery: c.ResetEvery,
 		Workers:    b.Env.Workers,
 		Metrics:    b.Env.Metrics,
 		Snapshots:  b.Env.Snaps,

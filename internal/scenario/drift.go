@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -36,12 +35,15 @@ func FlippedWeights() scheduler.Weights {
 
 // DriftConfig shapes a RunDrift campaign.
 type DriftConfig struct {
-	// Scale and Seed size the constellation (defaults: Small, 1).
-	Scale experiments.Scale
-	Seed  int64
-	// Slots is the total campaign length; FlipAt is the slot index at
-	// which the scheduler weights change (defaults 600, Slots/2).
-	Slots  int
+	// Spec describes the run (required): constellation, terminals,
+	// pre-flip scheduler, seed, and the campaign — Campaign.Slots is the
+	// total length across both phases.
+	Spec *Spec
+	// Telemetry is the host registry both phases' environments report
+	// to (nil disables).
+	Telemetry *telemetry.Registry
+	// FlipAt is the slot index at which the scheduler weights change
+	// (default Slots/2).
 	FlipAt int
 	// PostWeights are the weights after the flip (nil = FlippedWeights).
 	PostWeights *scheduler.Weights
@@ -53,11 +55,6 @@ type DriftConfig struct {
 	// observations (cfg from experiments.QuickModelConfig) so the
 	// stationary online accuracy can be compared against Figure 8.
 	Offline bool
-	// Workers / SnapshotWorkers / Telemetry are passed to both phases'
-	// environments.
-	Workers         int
-	SnapshotWorkers int
-	Telemetry       *telemetry.Registry
 }
 
 // DriftResult summarizes the three acts.
@@ -130,56 +127,43 @@ func (d *driftTracker) observe(rec *pipeline.Record, up pipeline.ScoreUpdate) {
 }
 
 // RunDrift executes the two-phase campaign against cfg.Scorer. Both
-// phases share one constellation (same scale and seed), and phase two
-// starts exactly FlipAt periods after phase one's epoch, so the stream
-// the scorer sees is one continuous campaign whose only discontinuity
-// is the scheduler's weights. (The post-flip scheduler restarts its
+// phases share one constellation (same spec), and phase two starts
+// exactly FlipAt periods after phase one's epoch, so the stream the
+// scorer sees is one continuous campaign whose only discontinuity is
+// the scheduler's weights. (The post-flip scheduler restarts its
 // load/recency bookkeeping — the real analogue is a scheduler redeploy,
 // which also resets in-memory state.)
 func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	if cfg.Scorer == nil {
 		return nil, fmt.Errorf("scenario: drift needs an online scorer")
 	}
-	if cfg.Scale == "" {
-		cfg.Scale = experiments.Small
+	if cfg.Spec == nil {
+		return nil, fmt.Errorf("scenario: drift needs a spec")
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if cfg.Slots == 0 {
-		cfg.Slots = 600
-	}
+	slots := cfg.Spec.Campaign.Slots
 	if cfg.FlipAt == 0 {
-		cfg.FlipAt = cfg.Slots / 2
+		cfg.FlipAt = slots / 2
 	}
-	if cfg.FlipAt <= 0 || cfg.FlipAt >= cfg.Slots {
-		return nil, fmt.Errorf("scenario: flip slot %d outside campaign of %d slots", cfg.FlipAt, cfg.Slots)
+	if cfg.FlipAt <= 0 || cfg.FlipAt >= slots {
+		return nil, fmt.Errorf("scenario: flip slot %d outside campaign of %d slots", cfg.FlipAt, slots)
 	}
 	post := FlippedWeights()
 	if cfg.PostWeights != nil {
 		post = *cfg.PostWeights
 	}
 
-	base := experiments.Config{
-		Scale:           cfg.Scale,
-		Seed:            cfg.Seed,
-		Workers:         cfg.Workers,
-		SnapshotWorkers: cfg.SnapshotWorkers,
-		Telemetry:       cfg.Telemetry,
-	}
-	envA, err := experiments.NewEnv(base)
+	pre, err := cfg.Spec.Build(BuildOptions{Telemetry: cfg.Telemetry})
 	if err != nil {
 		return nil, err
 	}
-	postCfg := base
-	postCfg.Weights = post
-	envB, err := experiments.NewEnv(postCfg)
+	envB, err := pre.Env.Sibling(func(c *experiments.Config) { c.Weights = post })
 	if err != nil {
 		return nil, err
 	}
+	flipped := &Built{Spec: cfg.Spec, Env: envB}
 
 	res := &DriftResult{
-		Slots: cfg.Slots, FlipAt: cfg.FlipAt,
+		Slots: slots, FlipAt: cfg.FlipAt,
 		MinPostTop1: 1, DetectSlots: -1, ClearSlots: -1,
 	}
 	tr := &driftTracker{res: res, sc: cfg.Scorer}
@@ -190,7 +174,9 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	if cfg.Offline {
 		sinks = append(sinks, collect)
 	}
-	res.PreStats, err = envA.StreamObservations(cfg.FlipAt, sinks...)
+	preCfg := pre.CampaignConfig()
+	preCfg.Slots = cfg.FlipAt
+	res.PreStats, err = pre.Env.StreamCampaign(preCfg, sinks...)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: drift pre-flip phase: %w", err)
 	}
@@ -200,29 +186,16 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	tr.post = true
 	tr.lastSlot = time.Time{}
 	tr.slotIdx = 0
-	src := &pipeline.Campaign{Config: core.CampaignConfig{
-		Scheduler:  envB.Sched,
-		Identifier: envB.Ident,
-		Start:      envA.Start().Add(time.Duration(cfg.FlipAt) * scheduler.Period),
-		Slots:      cfg.Slots - cfg.FlipAt,
-		Oracle:     true,
-		Workers:    envB.Workers,
-		Metrics:    envB.Metrics,
-		Snapshots:  envB.Snaps,
-	}}
-	p := &pipeline.Pipeline{
-		Source:  src,
-		Stages:  []pipeline.Stage{pipeline.ChosenOnly()},
-		Sinks:   []pipeline.Sink{tr.sink()},
-		Metrics: pipeline.NewMetrics(cfg.Telemetry),
-	}
-	if err := p.Run(context.Background()); err != nil {
+	postCfg := flipped.CampaignConfig()
+	postCfg.Start = postCfg.Start.Add(time.Duration(cfg.FlipAt) * scheduler.Period)
+	postCfg.Slots = slots - cfg.FlipAt
+	res.PostStats, err = envB.StreamCampaign(postCfg, tr.sink())
+	if err != nil {
 		return nil, fmt.Errorf("scenario: drift post-flip phase: %w", err)
 	}
-	res.PostStats = src.Stats
 
 	if cfg.Offline {
-		mres, err := envA.Fig8(collect.Obs, experiments.QuickModelConfig(cfg.Seed))
+		mres, err := pre.Env.Fig8(collect.Obs, experiments.QuickModelConfig(cfg.Spec.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: drift offline comparison: %w", err)
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/predict"
 )
 
@@ -22,11 +23,13 @@ func TestRunDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := Starlink(experiments.Small, 3, 600)
+	spec.Campaign.Workers = 4
 	res, err := RunDrift(DriftConfig{
-		Seed: 3, Slots: 600, FlipAt: 300,
+		Spec:    spec,
+		FlipAt:  300,
 		Scorer:  svc,
 		Offline: true,
-		Workers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +88,10 @@ func TestRunDriftValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDrift(DriftConfig{Scorer: svc, Slots: 10, FlipAt: 10}); err == nil {
+	if _, err := RunDrift(DriftConfig{Scorer: svc}); err == nil {
+		t.Error("missing spec accepted")
+	}
+	if _, err := RunDrift(DriftConfig{Spec: Starlink(experiments.Small, 1, 10), Scorer: svc, FlipAt: 10}); err == nil {
 		t.Error("flip at campaign end accepted")
 	}
 }

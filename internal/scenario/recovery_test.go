@@ -28,7 +28,7 @@ func TestPlantedPreferenceRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := built.Env.Observations(built.Slots)
+	obs, err := built.Env.Observations(spec.Campaign.Slots)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,35 +182,52 @@ func streamBytes(t *testing.T, cfg core.CampaignConfig) []byte {
 }
 
 // TestStarlinkBaselineBitIdentical proves the scenario path subsumes
-// the existing Starlink path: the starlink-baseline preset's campaign
-// stream is byte-identical to the default experiments environment's.
+// the flag-described Starlink path: at each scale, the spec the repro
+// -scale/-seed/-slots flags lower to (Starlink) — and, at medium, the
+// starlink-baseline preset — yields the constellation fingerprint and
+// the byte-identical campaign stream of experiments.NewEnv over the
+// same (scale, seed), which stays here as the oracle.
 func TestStarlinkBaselineBitIdentical(t *testing.T) {
-	spec, err := scenario.LoadPreset("starlink-baseline")
+	const slots = 12 // identity holds per slot; a full campaign adds nothing
+	baseline, err := scenario.LoadPreset("starlink-baseline")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const slots = 12 // full preset runs 500; identity holds per-slot
-	spec.Campaign.Slots = slots
-	built, err := spec.Build(scenario.BuildOptions{Workers: 1, SnapshotWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromScenario := streamBytes(t, built.CampaignConfig())
+	baseline.Campaign.Slots = slots
+	for _, tc := range []struct {
+		name  string
+		scale experiments.Scale
+		seed  int64
+		spec  *scenario.Spec
+	}{
+		{"small", experiments.Small, 41, scenario.Starlink(experiments.Small, 41, slots)},
+		{"medium", experiments.Medium, 7, scenario.Starlink(experiments.Medium, 7, slots)},
+		{"starlink-baseline", experiments.Medium, 7, baseline},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.spec.Campaign.Workers, tc.spec.Campaign.SnapshotWorkers = 1, 1
+			built, err := tc.spec.Build(scenario.BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromScenario := streamBytes(t, built.CampaignConfig())
 
-	env, err := experiments.NewEnv(experiments.Config{Scale: experiments.Medium, Seed: 7, Workers: 1, SnapshotWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromDefault := streamBytes(t, env.CampaignSource(slots, true).Config)
+			env, err := experiments.NewEnv(experiments.Config{Scale: tc.scale, Seed: tc.seed, Workers: 1, SnapshotWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromDefault := streamBytes(t, env.CampaignSource(slots, true).Config)
 
-	if built.Env.Cons.Fingerprint() != env.Cons.Fingerprint() {
-		t.Fatal("scenario constellation fingerprint differs from the default environment's")
-	}
-	if !bytes.Equal(fromScenario, fromDefault) {
-		t.Fatalf("starlink-baseline stream differs from the default campaign:\nscenario %d bytes, default %d bytes", len(fromScenario), len(fromDefault))
-	}
-	if len(fromScenario) == 0 {
-		t.Fatal("empty golden stream")
+			if built.Env.Cons.Fingerprint() != env.Cons.Fingerprint() {
+				t.Fatal("scenario constellation fingerprint differs from the default environment's")
+			}
+			if !bytes.Equal(fromScenario, fromDefault) {
+				t.Fatalf("spec stream differs from the default campaign:\nscenario %d bytes, default %d bytes", len(fromScenario), len(fromDefault))
+			}
+			if len(fromScenario) == 0 {
+				t.Fatal("empty golden stream")
+			}
+		})
 	}
 }
 
@@ -222,7 +239,8 @@ func TestWalkerStarPresetBuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Campaign.Slots = 2
-	built, err := spec.Build(scenario.BuildOptions{Workers: 1, SnapshotWorkers: 1})
+	spec.Campaign.Workers, spec.Campaign.SnapshotWorkers = 1, 1
+	built, err := spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
