@@ -170,13 +170,9 @@ func benchCampaign(b *testing.B, workers int) {
 	b.ReportAllocs()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunCampaignStream(context.Background(), core.CampaignConfig{
-			Scheduler:  env.Sched,
-			Identifier: env.Ident,
-			Start:      env.Start(),
-			Slots:      12,
-			Workers:    workers,
-		}, func(core.SlotRecord) error { return nil })
+		cfg := env.Campaign(env.Scheduler, 12, false)
+		cfg.Workers = workers
+		res, err := core.RunCampaignStream(context.Background(), cfg, func(core.SlotRecord) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,14 +205,9 @@ func BenchmarkCampaignParallelTelemetry(b *testing.B) {
 	b.ReportAllocs()
 	var acc float64
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunCampaignStream(context.Background(), core.CampaignConfig{
-			Scheduler:  env.Sched,
-			Identifier: env.Ident,
-			Start:      env.Start(),
-			Slots:      12,
-			Workers:    4,
-			Metrics:    m,
-		}, func(core.SlotRecord) error { return nil })
+		cfg := env.Campaign(env.Scheduler, 12, false)
+		cfg.Workers, cfg.Metrics = 4, m
+		res, err := core.RunCampaignStream(context.Background(), cfg, func(core.SlotRecord) error { return nil })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -421,18 +412,12 @@ func BenchmarkCampaignMemory(b *testing.B) {
 	} {
 		b.Run(fmt.Sprintf("%s/slots=%d", tc.mode, tc.slots), func(b *testing.B) {
 			env, _, _ := benchSetup(b)
-			cfg := core.CampaignConfig{
-				Scheduler:  env.Sched,
-				Identifier: env.Ident,
-				Start:      env.Start(),
-				Slots:      tc.slots,
-				Oracle:     true,
-				Workers:    4,
-			}
 			b.ReportAllocs()
 			var peak, final uint64
 			var served int
 			for i := 0; i < b.N; i++ {
+				cfg := env.Campaign(env.Scheduler, tc.slots, true)
+				cfg.Workers = 4
 				runtime.GC()
 				var base runtime.MemStats
 				runtime.ReadMemStats(&base)
@@ -616,9 +601,11 @@ func BenchmarkSchedulerSetup(b *testing.B) {
 func BenchmarkSchedulerAllocate(b *testing.B) {
 	env, _, _ := benchSetup(b)
 	b.ReportAllocs()
+	sched := env.NewScheduler()
 	start := env.Start()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env.Sched.Allocate(start.Add(time.Duration(i) * 15 * time.Second))
+		sched.Allocate(start.Add(time.Duration(i) * 15 * time.Second))
 	}
 }
 

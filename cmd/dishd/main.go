@@ -98,6 +98,7 @@ func run(listen, terminal, scale string, seed int64, speedup float64, teleAdr st
 		fmt.Fprintf(os.Stderr, "dishd: telemetry on http://%s/metrics\n", tsrv.Addr())
 	}
 
+	sched := env.NewScheduler()
 	// Firmware loop: every simulated slot, paint the serving track.
 	go func() {
 		slot := simStart
@@ -105,7 +106,7 @@ func run(listen, terminal, scale string, seed int64, speedup float64, teleAdr st
 			simNow := simStart.Add(time.Duration(float64(time.Since(wallStart)) * speedup))
 			simNanos.Store(simNow.UnixNano())
 			for !slot.After(simNow) {
-				for _, a := range env.Sched.Allocate(slot) {
+				for _, a := range sched.Allocate(slot) {
 					if a.Terminal != terminal || a.SatID == 0 {
 						continue
 					}

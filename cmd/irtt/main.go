@@ -66,12 +66,13 @@ func runServer(listen string, simulate bool, terminal, scale string, seed int64)
 		if err != nil {
 			return err
 		}
+		sched := env.NewScheduler()
 		var path *netsim.Path
 		for _, t := range env.Terminals {
 			if t.Name == terminal {
 				path, err = netsim.NewPath(netsim.Config{
 					Constellation: env.Cons,
-					Scheduler:     env.Sched,
+					Scheduler:     sched,
 					Terminal:      t,
 					Seed:          seed,
 				})

@@ -8,7 +8,7 @@
 //	repro -scenario <file-or-preset> [dist]
 //	repro -list-scenarios
 //
-// Experiments: fig2 stats fig3 ident fig4 fig5 fig6 fig7 fig8 stream drift all
+// Experiments: fig2 stats fig3 ident fig4 fig5 fig6 fig7 fig8 stream ext drift dist all
 //
 // Flags:
 //
@@ -144,7 +144,7 @@ func main() {
 		what = flag.Arg(0)
 	case flag.NArg() == 0 && opt.scenario != "":
 	default:
-		fmt.Fprintln(os.Stderr, "usage: repro [flags] fig2|stats|fig3|ident|fig4|fig5|fig6|fig7|fig8|stream|drift|ext|dist|all")
+		fmt.Fprintln(os.Stderr, "usage: repro [flags]", experimentNames())
 		fmt.Fprintln(os.Stderr, "       repro -scenario <file-or-preset> [dist]")
 		os.Exit(2)
 	}
@@ -207,11 +207,11 @@ func runDist(ctx context.Context, opt options, reg *telemetry.Registry, spec *sc
 	}
 	start := time.Now()
 	if opt.coordWorkers == "" {
-		built, err := spec.Build(scenario.BuildOptions{})
+		env, err := spec.Build(scenario.BuildOptions{})
 		if err != nil {
 			return err
 		}
-		cfg := built.CampaignConfig()
+		cfg := spec.CampaignConfig(env)
 		cfg.Metrics = core.NewCampaignMetrics(reg)
 		enc := traceio.NewRecordEncoder(out)
 		stats, err := core.RunCampaignStream(ctx, cfg, func(rec core.SlotRecord) error {
@@ -223,8 +223,8 @@ func runDist(ctx context.Context, opt options, reg *telemetry.Registry, spec *sc
 		if err := enc.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("# single-process golden: %d records over %d terminals in %.1fs\n",
-			stats.Records, stats.Terminals, time.Since(start).Seconds())
+		fmt.Printf("# single-process golden: %d records over %d terminals\n", stats.Records, stats.Terminals)
+		fmt.Fprintf(os.Stderr, "repro: dist: single-process golden in %.1fs\n", time.Since(start).Seconds())
 		fmt.Printf("# served %d  skips %d  ident %d/%d correct\n",
 			stats.Served, sumSkips(stats.Skips), stats.Correct, stats.Attempted)
 	} else {
@@ -249,8 +249,9 @@ func runDist(ctx context.Context, opt options, reg *telemetry.Registry, spec *sc
 		if err != nil {
 			return err
 		}
-		fmt.Printf("# distributed: %d records over %d terminals, %d shards on %d workers in %.1fs\n",
-			res.Records, res.Terminals, res.Shards, len(c.Workers), time.Since(start).Seconds())
+		fmt.Printf("# distributed: %d records over %d terminals, %d shards on %d workers\n",
+			res.Records, res.Terminals, res.Shards, len(c.Workers))
+		fmt.Fprintf(os.Stderr, "repro: dist: distributed in %.1fs\n", time.Since(start).Seconds())
 		fmt.Printf("# served %d  skips %d  ident %d/%d correct\n",
 			res.Served, sumSkips(res.Skips), res.Correct, res.Attempted)
 		fmt.Printf("# replayed %d records from journals, %d shard reassignments\n",
@@ -348,19 +349,18 @@ func run(ctx context.Context, what string, opt options) error {
 	if traceDepth == 0 && opt.traceOut != "" {
 		traceDepth = 4096
 	}
-	built, err := spec.Build(scenario.BuildOptions{Telemetry: reg, TraceDecisions: traceDepth})
+	env, err := spec.Build(scenario.BuildOptions{Telemetry: reg, TraceDecisions: traceDepth})
 	if err != nil {
 		return err
 	}
-	env := built.Env
 	env.Ctx = ctx
 	if err := startTelemetry(ctx, opt.telemetryAddr, reg, env.Trace()); err != nil {
 		return err
 	}
 	if opt.scenario != "" {
-		err = runScenario(ctx, built, opt)
+		err = runScenario(ctx, spec, env, opt)
 	} else {
-		err = runExperiments(ctx, what, built, opt, reg)
+		err = runExperiments(ctx, what, spec, env, opt, reg)
 	}
 	if err != nil {
 		return err
@@ -381,7 +381,7 @@ func run(ctx context.Context, what string, opt options) error {
 // chosen-only observations and statistics, also writing the
 // observations as JSONL to savePath when set. summary prints the
 // caller's headline before the campaign statistics.
-func collectObservations(built *scenario.Built, savePath string, summary func(n int)) ([]core.Observation, *core.CampaignStats, error) {
+func collectObservations(spec *scenario.Spec, env *experiments.Env, savePath string, summary func(n int)) ([]core.Observation, *core.CampaignStats, error) {
 	collect := &pipeline.CollectObservations{}
 	sinks := []pipeline.Sink{collect}
 	if savePath != "" {
@@ -394,9 +394,9 @@ func collectObservations(built *scenario.Built, savePath string, summary func(n 
 		// of the whole trace.
 		sinks = append(sinks, pipeline.WriteObservations(f))
 	}
-	reg := built.Env.Telemetry
+	reg := env.Telemetry
 	before := takeSkips(reg)
-	st, err := built.Env.StreamCampaign(built.CampaignConfig(), sinks...)
+	st, err := env.StreamCampaign(spec.CampaignConfig(env), sinks...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -405,106 +405,129 @@ func collectObservations(built *scenario.Built, savePath string, summary func(n 
 	return collect.Obs, st, nil
 }
 
+// session is what an experiment reads: the environment, the spec it
+// was built from, the flags, and the oracle campaign's observations
+// (set only for experiments that need them).
+type session struct {
+	spec *scenario.Spec
+	env  *experiments.Env
+	opt  options
+	obs  []core.Observation
+}
+
+// experiment is one row of the experiment table. obs marks the
+// experiments that analyse the spec's oracle campaign; it runs once,
+// before the first section, so every section prints the same bytes
+// alone as inside `all`.
+type experiment struct {
+	name string
+	obs  bool
+	run  func(s *session) error
+}
+
+// experimentTable lists the paper experiments in the order `all` runs
+// them.
+var experimentTable = []experiment{
+	{"fig2", false, func(s *session) error { return runFig2(s.env, s.opt.pcapPath) }},
+	{"stats", false, func(s *session) error { return runStats(s.env) }},
+	{"fig3", false, func(s *session) error { return runFig3(s.env, s.opt.dir) }},
+	{"ident", false, func(s *session) error { return runIdent(s.env, s.opt.dir) }},
+	{"fig4", true, func(s *session) error { return printed(printAOE)(s.env.Fig4(s.obs)) }},
+	{"fig5", true, func(s *session) error { return printed(printAzimuth)(s.env.Fig5(s.obs)) }},
+	{"fig6", true, func(s *session) error { return printed(printLaunch)(s.env.Fig6(s.obs)) }},
+	{"fig7", true, func(s *session) error { return printed(printSunlit)(s.env.Fig7(s.obs)) }},
+	{"fig8", true, func(s *session) error { return runFig8(s.env, s.obs, s.opt.fullGrid, s.opt.saveMdl) }},
+	{"stream", false, func(s *session) error { return runStream(s.env, s.spec.Campaign.Slots) }},
+	{"ext", false, func(s *session) error { return runExtensions(s.env, s.spec.Campaign.Slots) }},
+}
+
+// experimentNames is the usage line's experiment list: the table, then
+// drift, dist and all.
+func experimentNames() string {
+	names := make([]string, 0, len(experimentTable)+3)
+	for _, ex := range experimentTable {
+		names = append(names, ex.name)
+	}
+	return strings.Join(append(names, "drift", "dist", "all"), "|")
+}
+
 // runExperiments runs the named paper experiment (or all of them) on
 // the flag-described environment.
-func runExperiments(ctx context.Context, what string, built *scenario.Built, opt options, reg *telemetry.Registry) error {
-	env, slots := built.Env, built.Spec.Campaign.Slots
-	fmt.Printf("# constellation: %d satellites (scale=%s seed=%d)\n\n", env.Cons.Len(), opt.scale, built.Spec.Seed)
-
-	var obs []core.Observation
-	needObs := func() error {
-		if obs != nil {
-			return nil
-		}
-		if opt.loadObs != "" {
-			f, err := os.Open(opt.loadObs)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			// Replay the trace record by record: a multi-gigabyte capture
-			// decodes in O(1) memory beyond the collected rows themselves.
-			collect := &pipeline.CollectObservations{}
-			counts := &pipeline.CountSkips{}
-			p := &pipeline.Pipeline{
-				Source: pipeline.ObservationReplay{R: f},
-				Sinks:  []pipeline.Sink{counts, pipeline.Where(pipeline.ChosenOnly(), collect)},
-			}
-			if err := p.Run(ctx); err != nil {
-				return err
-			}
-			obs = collect.Obs
-			fmt.Printf("# loaded %d observations from %s (%d records, %d without a chosen satellite)\n\n",
-				len(obs), opt.loadObs, counts.Total, counts.Total-counts.Served)
-			return nil
-		}
-		fmt.Printf("# running %d-slot oracle campaign over %d terminals...\n", slots, len(env.Terminals))
-		start := time.Now()
-		var err error
-		obs, _, err = collectObservations(built, opt.saveObs, func(n int) {
-			fmt.Printf("# %d observations in %.1fs\n", n, time.Since(start).Seconds())
-		})
-		if err != nil {
-			return err
+func runExperiments(ctx context.Context, what string, spec *scenario.Spec, env *experiments.Env, opt options, reg *telemetry.Registry) error {
+	fmt.Printf("# constellation: %d satellites (scale=%s seed=%d)\n\n", env.Cons.Len(), opt.scale, spec.Seed)
+	if what == "drift" {
+		fmt.Println("==== drift ====")
+		if err := runDriftExperiment(spec, opt, reg); err != nil {
+			return fmt.Errorf("drift: %w", err)
 		}
 		fmt.Println()
-		if opt.saveObs != "" {
-			fmt.Printf("# wrote observations to %s\n\n", opt.saveObs)
-		}
 		return nil
 	}
-
-	experimentsToRun := []string{what}
-	if what == "all" {
-		experimentsToRun = []string{"fig2", "stats", "fig3", "ident", "fig4", "fig5", "fig6", "fig7", "fig8", "stream", "ext"}
-	}
-	for _, ex := range experimentsToRun {
-		fmt.Printf("==== %s ====\n", ex)
-		var err error
-		switch ex {
-		case "fig2":
-			err = runFig2(env, opt.pcapPath)
-		case "stats":
-			err = runStats(env)
-		case "fig3":
-			err = runFig3(env, opt.dir)
-		case "ident":
-			err = runIdent(env, opt.dir)
-		case "fig4":
-			if err = needObs(); err == nil {
-				err = runFig4(env, obs)
-			}
-		case "fig5":
-			if err = needObs(); err == nil {
-				err = runFig5(env, obs)
-			}
-		case "fig6":
-			if err = needObs(); err == nil {
-				err = runFig6(env, obs)
-			}
-		case "fig7":
-			if err = needObs(); err == nil {
-				err = runFig7(env, obs)
-			}
-		case "fig8":
-			if err = needObs(); err == nil {
-				err = runFig8(env, obs, opt.fullGrid, opt.saveMdl)
-			}
-		case "stream":
-			err = runStream(env, slots)
-		case "drift":
-			err = runDriftExperiment(built.Spec, opt, reg)
-		case "ext":
-			err = runExtensions(env, slots)
-		default:
-			return fmt.Errorf("unknown experiment %q", ex)
+	var toRun []experiment
+	needObs := false
+	for _, ex := range experimentTable {
+		if what == "all" || what == ex.name {
+			toRun = append(toRun, ex)
+			needObs = needObs || ex.obs
 		}
-		if err != nil {
-			return fmt.Errorf("%s: %w", ex, err)
+	}
+	if len(toRun) == 0 {
+		return fmt.Errorf("unknown experiment %q", what)
+	}
+	s := &session{spec: spec, env: env, opt: opt}
+	if needObs {
+		var err error
+		if s.obs, err = observations(ctx, spec, env, opt); err != nil {
+			return err
+		}
+	}
+	for _, ex := range toRun {
+		fmt.Printf("==== %s ====\n", ex.name)
+		if err := ex.run(s); err != nil {
+			return fmt.Errorf("%s: %w", ex.name, err)
 		}
 		fmt.Println()
 	}
 	return nil
+}
+
+// observations loads the -load-obs trace or runs the spec's oracle
+// campaign, printing its summary.
+func observations(ctx context.Context, spec *scenario.Spec, env *experiments.Env, opt options) ([]core.Observation, error) {
+	if opt.loadObs != "" {
+		f, err := os.Open(opt.loadObs)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		// Replay the trace record by record: a multi-gigabyte capture
+		// decodes in O(1) memory beyond the collected rows themselves.
+		collect := &pipeline.CollectObservations{}
+		counts := &pipeline.CountSkips{}
+		p := &pipeline.Pipeline{
+			Source: pipeline.ObservationReplay{R: f},
+			Sinks:  []pipeline.Sink{counts, pipeline.Where(pipeline.ChosenOnly(), collect)},
+		}
+		if err := p.Run(ctx); err != nil {
+			return nil, err
+		}
+		fmt.Printf("# loaded %d observations from %s (%d records, %d without a chosen satellite)\n\n",
+			len(collect.Obs), opt.loadObs, counts.Total, counts.Total-counts.Served)
+		return collect.Obs, nil
+	}
+	fmt.Printf("# running %d-slot oracle campaign over %d terminals...\n", spec.Campaign.Slots, len(env.Terminals))
+	start := time.Now()
+	obs, _, err := collectObservations(spec, env, opt.saveObs, func(n int) {
+		fmt.Fprintf(os.Stderr, "repro: %d observations in %.1fs\n", n, time.Since(start).Seconds())
+	})
+	if err != nil {
+		return nil, err
+	}
+	fmt.Println()
+	if opt.saveObs != "" {
+		fmt.Printf("# wrote observations to %s\n\n", opt.saveObs)
+	}
+	return obs, nil
 }
 
 // runScenario executes a declarative scenario end to end on its built
@@ -514,8 +537,7 @@ func runExperiments(ctx context.Context, what string, built *scenario.Built, opt
 // planted-preference recovery experiment. The output carries no
 // wall-clock timings on purpose: two runs of the same scenario must
 // be byte-identical, which is what the CI smoke job asserts.
-func runScenario(ctx context.Context, built *scenario.Built, opt options) error {
-	spec, env := built.Spec, built.Env
+func runScenario(ctx context.Context, spec *scenario.Spec, env *experiments.Env, opt options) error {
 	fmt.Printf("==== scenario %s ====\n", spec.Name)
 	if spec.Description != "" {
 		fmt.Printf("# %s\n", spec.Description)
@@ -525,8 +547,8 @@ func runScenario(ctx context.Context, built *scenario.Built, opt options) error 
 
 	if spec.AnalysisEnabled("ident") {
 		fmt.Println("\n---- ident ----")
-		fmt.Printf("§4 identification validation over %d slots (DTW vs ground truth)\n", built.IdentSlots())
-		res, err := env.IdentValidation(built.IdentSlots(), false)
+		fmt.Printf("§4 identification validation over %d slots (DTW vs ground truth)\n", spec.IdentSlots())
+		res, err := env.IdentValidation(spec.IdentSlots(), false)
 		if err != nil {
 			return fmt.Errorf("ident: %w", err)
 		}
@@ -551,7 +573,7 @@ func runScenario(ctx context.Context, built *scenario.Built, opt options) error 
 	if !spec.Campaign.Oracle {
 		mode = "measured"
 	}
-	obs, _, err := collectObservations(built, savePath, func(n int) {
+	obs, _, err := collectObservations(spec, env, savePath, func(n int) {
 		fmt.Printf("\n# %d observations from the %d-slot %s campaign\n", n, spec.Campaign.Slots, mode)
 	})
 	if err != nil {
@@ -571,16 +593,16 @@ func runScenario(ctx context.Context, built *scenario.Built, opt options) error 
 		}
 		return nil
 	}
-	if err := stage("aoe", func() error { return runFig4(env, obs) }); err != nil {
+	if err := stage("aoe", func() error { return printed(printAOE)(env.Fig4(obs)) }); err != nil {
 		return err
 	}
-	if err := stage("azimuth", func() error { return runFig5(env, obs) }); err != nil {
+	if err := stage("azimuth", func() error { return printed(printAzimuth)(env.Fig5(obs)) }); err != nil {
 		return err
 	}
-	if err := stage("launch", func() error { return runFig6(env, obs) }); err != nil {
+	if err := stage("launch", func() error { return printed(printLaunch)(env.Fig6(obs)) }); err != nil {
 		return err
 	}
-	if err := stage("sunlit", func() error { return runFig7(env, obs) }); err != nil {
+	if err := stage("sunlit", func() error { return printed(printSunlit)(env.Fig7(obs)) }); err != nil {
 		return err
 	}
 	if err := stage("model", func() error {
@@ -789,7 +811,7 @@ func runIdent(env *experiments.Env, dir string) error {
 	// view): observed trajectory over all candidates, winner highlighted.
 	term := env.Terminals[0]
 	slot := env.Start().Add(7 * 15 * time.Second)
-	for _, a := range env.Sched.Allocate(slot) {
+	for _, a := range env.NewScheduler().Allocate(slot) {
 		if a.Terminal != term.Name || a.SatID == 0 {
 			continue
 		}
@@ -829,13 +851,15 @@ func runIdent(env *experiments.Env, dir string) error {
 	return nil
 }
 
-func runFig4(env *experiments.Env, obs []core.Observation) error {
-	a, err := env.Fig4(obs)
-	if err != nil {
+// printed wraps an analysis printer for the analysis call's results:
+// it prints the analysis, or passes on the error that stopped it.
+func printed[T any](print func(T)) func(T, error) error {
+	return func(a T, err error) error {
+		if err == nil {
+			print(a)
+		}
 		return err
 	}
-	printAOE(a)
-	return nil
 }
 
 func printAOE(a *core.AOEAnalysis) {
@@ -844,15 +868,6 @@ func printAOE(a *core.AOEAnalysis) {
 	fmt.Printf("chosen with AOE in [45,90]: %.0f%% (paper: 80%%); available: %.0f%% (paper: 30%%)\n",
 		a.HighBandChosenFrac*100, a.HighBandAvailableFrac*100)
 	printCDFs(a.PerTerminal, "aoe_deg")
-}
-
-func runFig5(env *experiments.Env, obs []core.Observation) error {
-	a, err := env.Fig5(obs)
-	if err != nil {
-		return err
-	}
-	printAzimuth(a)
-	return nil
 }
 
 func printAzimuth(a *core.AzimuthAnalysis) {
@@ -865,15 +880,6 @@ func printAzimuth(a *core.AzimuthAnalysis) {
 	}
 	fmt.Println("(paper: north chosen 82% vs available 58%; Ithaca NW 9.7% vs 55.4% elsewhere)")
 	printCDFs(a.PerTerminal, "azimuth_deg")
-}
-
-func runFig6(env *experiments.Env, obs []core.Observation) error {
-	a, err := env.Fig6(obs)
-	if err != nil {
-		return err
-	}
-	printLaunch(a)
-	return nil
 }
 
 func printLaunch(a *core.LaunchAnalysis) {
@@ -899,15 +905,6 @@ func printLaunch(a *core.LaunchAnalysis) {
 	}
 }
 
-func runFig7(env *experiments.Env, obs []core.Observation) error {
-	a, err := env.Fig7(obs)
-	if err != nil {
-		return err
-	}
-	printSunlit(a)
-	return nil
-}
-
 func printSunlit(a *core.SunlitAnalysis) {
 	fmt.Println("Figure 7 / §5.3: sunlit vs dark satellites")
 	fmt.Printf("mixed slots (>=1 sunlit and >=1 dark): %d\n", a.MixedSlots)
@@ -930,7 +927,8 @@ func runStream(env *experiments.Env, slots int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("single pass in %.1fs; dataset rows: %d\n", time.Since(start).Seconds(), len(res.Dataset.X))
+	fmt.Fprintf(os.Stderr, "repro: stream: single pass in %.1fs\n", time.Since(start).Seconds())
+	fmt.Printf("dataset rows: %d\n", len(res.Dataset.X))
 	printCampaignStats(res.Stats, env.Telemetry, before)
 	fmt.Println()
 	printAOE(res.AOE)

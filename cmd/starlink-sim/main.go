@@ -73,13 +73,14 @@ func run(ctx context.Context, scale string, seed int64, slots int, tlePath, tele
 
 	// Stream the log slot by slot: the run is O(1) in memory however
 	// long the simulation, and output appears as it is produced.
+	sched := env.NewScheduler()
 	aw := traceio.NewAllocationWriter(os.Stdout)
 	start := env.Start()
 	for i := 0; i < slots; i++ {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		for _, a := range env.Sched.Allocate(start.Add(time.Duration(i) * scheduler.Period)) {
+		for _, a := range sched.Allocate(start.Add(time.Duration(i) * scheduler.Period)) {
 			if err := aw.Write(a); err != nil {
 				return err
 			}

@@ -30,7 +30,9 @@ func main() {
 	iowa := env.Terminals[0]
 	fmt.Printf("terminal: %s; %d satellites in the constellation\n\n", iowa.Name, env.Cons.Len())
 
-	// Walk 12 slots by hand so every pipeline stage is visible.
+	// Walk 12 slots by hand so every pipeline stage is visible, on one
+	// scheduler that advances slot by slot.
+	sched := env.NewScheduler()
 	dish := obstruction.New()
 	start := env.Start()
 	correct, attempted := 0, 0
@@ -39,7 +41,7 @@ func main() {
 
 		// Ground truth (what the real network knows, and we don't).
 		var alloc scheduler.Allocation
-		for _, a := range env.Sched.Allocate(slot) {
+		for _, a := range sched.Allocate(slot) {
 			if a.Terminal == iowa.Name {
 				alloc = a
 			}
@@ -81,7 +83,7 @@ func main() {
 	// with the DTW winner highlighted.
 	slot := start.Add(11 * scheduler.Period)
 	var lastAlloc scheduler.Allocation
-	for _, a := range env.Sched.Allocate(slot) {
+	for _, a := range sched.Allocate(slot) {
 		if a.Terminal == iowa.Name {
 			lastAlloc = a
 		}
@@ -110,12 +112,9 @@ func main() {
 	// The packaged campaign runs the same loop at scale, with 10-minute
 	// resets, and reports the §4 validation numbers; the records stream
 	// through emit, and the summary keeps the counters.
-	res, err := core.RunCampaignStream(context.Background(), core.CampaignConfig{
-		Scheduler:  env.Sched,
-		Identifier: env.Ident,
-		Start:      start.Add(time.Hour),
-		Slots:      50,
-	}, func(core.SlotRecord) error { return nil })
+	cfg := env.Campaign(env.Scheduler, 50, false)
+	cfg.Start = start.Add(time.Hour)
+	res, err := core.RunCampaignStream(context.Background(), cfg, func(core.SlotRecord) error { return nil })
 	if err != nil {
 		log.Fatal(err)
 	}

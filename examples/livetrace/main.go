@@ -28,7 +28,7 @@ func main() {
 	term := env.Terminals[0]
 	path, err := netsim.NewPath(netsim.Config{
 		Constellation: env.Cons,
-		Scheduler:     env.Sched,
+		Scheduler:     env.NewScheduler(),
 		Terminal:      term,
 		Seed:          33,
 	})

@@ -30,11 +30,11 @@ func testSpec(slots int) *scenario.Spec {
 // byte for byte.
 func serialBytes(t *testing.T, spec *scenario.Spec) []byte {
 	t.Helper()
-	built, err := spec.Build(scenario.BuildOptions{})
+	env, err := spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := built.CampaignConfig()
+	cfg := spec.CampaignConfig(env)
 	var buf bytes.Buffer
 	enc := traceio.NewRecordEncoder(&buf)
 	if _, err := core.RunCampaignStream(context.Background(), cfg, func(rec core.SlotRecord) error {
@@ -336,13 +336,13 @@ func TestCoordinatorScenarioSpec(t *testing.T) {
 	if !bytes.Contains(golden, []byte(`"g-0"`)) || !bytes.Contains(golden, []byte(`"g-3"`)) {
 		t.Fatal("scenario stream does not carry the grid-placed terminals")
 	}
-	built, err := scn.Build(scenario.BuildOptions{})
+	env, err := scn.Build(scenario.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built.Env.Cons.Len() != 120 || built.Env.Cons.Sats[0].Name != "STAR-1000" {
+	if env.Cons.Len() != 120 || env.Cons.Sats[0].Name != "STAR-1000" {
 		t.Fatalf("scenario built %d sats, first %q; want 120 STAR-prefixed",
-			built.Env.Cons.Len(), built.Env.Cons.Sats[0].Name)
+			env.Cons.Len(), env.Cons.Sats[0].Name)
 	}
 
 	servers := []*dishrpc.Server{startWorker(t, 0), startWorker(t, 0)}

@@ -145,14 +145,14 @@ func (w *Worker) start(p startParams) error {
 	if p.Spec == nil {
 		return fmt.Errorf("start params carry no spec")
 	}
-	// Build afresh on every start: the scheduler is stateful, and a
-	// reassigned shard restarts it from slot 0. The lowering is the one
-	// a single-process run uses, so the shards merge to its stream.
-	built, err := p.Spec.Build(scenario.BuildOptions{})
+	// Each start lowers the campaign afresh, so a reassigned shard
+	// restarts its scheduler from slot 0. The lowering is the one a
+	// single-process run uses, so the shards merge to its stream.
+	env, err := p.Spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		return err
 	}
-	cfg := built.CampaignConfig()
+	cfg := p.Spec.CampaignConfig(env)
 	cfg.Shard = core.ShardRange{Lo: p.Lo, Hi: p.Hi}
 	cfg.EmitFromSlot = p.From
 

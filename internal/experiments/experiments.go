@@ -1,9 +1,11 @@
 // Package experiments wires the full reproduction together: one
-// environment (constellation + terminals + ground-truth scheduler +
-// identification pipeline) and one entry point per paper figure or
-// table. cmd/repro renders these results as text; bench_test.go times
-// them; EXPERIMENTS.md records paper-vs-measured numbers from the same
-// code paths.
+// environment of immutable inputs (constellation, terminals,
+// identifier, snapshot cache and the ground-truth scheduler's config)
+// and one entry point per paper figure or table. Each entry point
+// builds the schedulers it drives, so its result does not depend on
+// which others ran first. cmd/repro renders these results as text;
+// bench_test.go times them; EXPERIMENTS.md records paper-vs-measured
+// numbers from the same code paths.
 package experiments
 
 import (
@@ -123,12 +125,18 @@ type Config struct {
 	TraceDecisions int
 }
 
-// Env is a ready-to-run reproduction environment.
+// Env is a ready-to-run reproduction environment. It holds only
+// immutable inputs: every campaign and every trace builds a fresh
+// scheduler from Scheduler, so each result is a function of the
+// environment alone, never of what ran on it before.
 type Env struct {
 	Cons      *constellation.Constellation
-	Sched     *scheduler.Global
 	Ident     *core.Identifier
 	Terminals []scheduler.Terminal
+	// Scheduler is the ground-truth controller's config (constellation,
+	// terminals, preferences, seed, snapshot cache). NewScheduler and
+	// Campaign build from it; a comparison arm edits a copy (Arm).
+	Scheduler scheduler.Config
 	Seed      int64
 	// Workers is passed to every campaign this environment runs.
 	Workers int
@@ -141,14 +149,10 @@ type Env struct {
 	// Metrics is the campaign instrumentation bundle shared by every
 	// campaign this environment runs (nil when telemetry is disabled).
 	Metrics *core.CampaignMetrics
-	// Snaps is the snapshot cache shared by the scheduler and every
+	// Snaps is the snapshot cache shared by every scheduler and
 	// campaign this environment runs, so each slot propagates (and
 	// indexes) the constellation once globally.
 	Snaps *constellation.SnapshotCache
-
-	// cfg is the config this environment was built from; Sibling
-	// derives comparison environments from it.
-	cfg Config
 }
 
 // Trace returns the decision-trace ring, nil when tracing is off.
@@ -167,7 +171,7 @@ func (e *Env) ctx() context.Context {
 	return context.Background()
 }
 
-// NewEnv builds the constellation, terminals, scheduler, and
+// NewEnv builds the constellation, terminals, scheduler config, and
 // identifier.
 func NewEnv(cfg Config) (*Env, error) {
 	shells := cfg.Shells
@@ -192,32 +196,13 @@ func NewEnv(cfg Config) (*Env, error) {
 	if len(vps) == 0 {
 		vps = geo.StudyVantagePoints()
 	}
-	var terms []scheduler.Terminal
-	for _, vp := range vps {
-		terms = append(terms, scheduler.Terminal{VantagePoint: vp, Priority: 1})
-	}
+	terms := terminalsAt(vps)
 	gs := cfg.GroundStations
 	if cfg.DisableGroundStations {
 		gs = []astro.Geodetic{} // non-nil empty = constraint off
 	}
 	snaps := constellation.NewSnapshotCache(0, cfg.Telemetry)
 	snaps.SetSnapshotWorkers(cfg.SnapshotWorkers)
-	sched, err := scheduler.NewGlobal(scheduler.Config{
-		Constellation:     cons,
-		Terminals:         terms,
-		Weights:           cfg.Weights,
-		MinElevationDeg:   cfg.MinElevationDeg,
-		GSOProtectionDeg:  cfg.GSOProtectionDeg,
-		GroundStations:    gs,
-		GSMinElevationDeg: cfg.GSMinElevationDeg,
-		DisableBattery:    cfg.DisableBattery,
-		Seed:              cfg.Seed,
-		Telemetry:         cfg.Telemetry,
-		Snapshots:         snaps,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: build scheduler: %w", err)
-	}
 	ident, err := core.NewIdentifier(cons)
 	if err != nil {
 		return nil, err
@@ -225,9 +210,26 @@ func NewEnv(cfg Config) (*Env, error) {
 	if cfg.MinElevationDeg != 0 {
 		ident.MinElevationDeg = cfg.MinElevationDeg
 	}
-	e := &Env{Cons: cons, Sched: sched, Ident: ident, Terminals: terms, Seed: cfg.Seed,
-		Workers: cfg.Workers, Telemetry: cfg.Telemetry,
-		Snaps: snaps, cfg: cfg}
+	e := &Env{Cons: cons, Ident: ident, Terminals: terms, Seed: cfg.Seed,
+		Workers: cfg.Workers, Telemetry: cfg.Telemetry, Snaps: snaps,
+		Scheduler: scheduler.Config{
+			Constellation:     cons,
+			Terminals:         terms,
+			Weights:           cfg.Weights,
+			MinElevationDeg:   cfg.MinElevationDeg,
+			GSOProtectionDeg:  cfg.GSOProtectionDeg,
+			GroundStations:    gs,
+			GSMinElevationDeg: cfg.GSMinElevationDeg,
+			DisableBattery:    cfg.DisableBattery,
+			Seed:              cfg.Seed,
+			Telemetry:         cfg.Telemetry,
+			Snapshots:         snaps,
+		}}
+	// Building one scheduler here rejects a bad config up front, so the
+	// fresh ones each campaign and trace builds from it cannot fail.
+	if _, err := scheduler.NewGlobal(e.Scheduler); err != nil {
+		return nil, fmt.Errorf("experiments: build scheduler: %w", err)
+	}
 	e.Metrics = core.NewCampaignMetrics(cfg.Telemetry)
 	if cfg.TraceDecisions > 0 {
 		if e.Metrics == nil {
@@ -240,20 +242,59 @@ func NewEnv(cfg Config) (*Env, error) {
 	return e, nil
 }
 
-// Sibling builds a fresh environment from this one's config with one
-// change applied: the same constellation design, seed, worker pools and
-// telemetry, so a comparison run (another terminal set, another
-// scheduler) differs from its parent only in what change sets. The
-// sibling shares the parent's cancellation context.
-func (e *Env) Sibling(change func(*Config)) (*Env, error) {
-	cfg := e.cfg
-	change(&cfg)
-	s, err := NewEnv(cfg)
-	if err != nil {
-		return nil, err
+// terminalsAt schedules one standard-priority terminal per site.
+func terminalsAt(vps []geo.VantagePoint) []scheduler.Terminal {
+	terms := make([]scheduler.Terminal, 0, len(vps))
+	for _, vp := range vps {
+		terms = append(terms, scheduler.Terminal{VantagePoint: vp, Priority: 1})
 	}
-	s.Ctx = e.Ctx
-	return s, nil
+	return terms
+}
+
+// NewScheduler builds a fresh ground-truth scheduler from the
+// environment's config. Every trace, and every caller that allocates
+// slot by slot, starts from one, so each starts from the same state.
+func (e *Env) NewScheduler() *scheduler.Global {
+	return newScheduler(e.Scheduler)
+}
+
+// newScheduler builds a scheduler from a config NewEnv has accepted, or
+// an Arm of one, so an error here is a bug.
+func newScheduler(sc scheduler.Config) *scheduler.Global {
+	g, err := scheduler.NewGlobal(sc)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: scheduler config rejected after NewEnv accepted it: %v", err))
+	}
+	return g
+}
+
+// Arm returns a copy of the environment's scheduler config with edit
+// applied: a comparison arm that differs from the environment only in
+// what edit sets, which must leave a config the scheduler accepts.
+// Campaign runs it on this environment's constellation, identifier,
+// snapshot cache, worker pool and telemetry.
+func (e *Env) Arm(edit func(*scheduler.Config)) scheduler.Config {
+	sc := e.Scheduler
+	edit(&sc)
+	return sc
+}
+
+// Campaign lowers one campaign to the engine's config: a fresh
+// scheduler built from sc (the environment's Scheduler or an Arm of
+// it) over this environment's identifier, snapshot cache, metrics and
+// worker pool, starting at Start. Every campaign an environment runs,
+// local, scenario or sharded, is lowered here.
+func (e *Env) Campaign(sc scheduler.Config, slots int, oracle bool) core.CampaignConfig {
+	return core.CampaignConfig{
+		Scheduler:  newScheduler(sc),
+		Identifier: e.Ident,
+		Start:      e.Start(),
+		Slots:      slots,
+		Oracle:     oracle,
+		Workers:    e.Workers,
+		Metrics:    e.Metrics,
+		Snapshots:  e.Snaps,
+	}
 }
 
 // Start returns the campaign start time (one hour past the TLE epoch,
@@ -270,6 +311,21 @@ func (e *Env) terminal(name string) (scheduler.Terminal, error) {
 		}
 	}
 	return scheduler.Terminal{}, fmt.Errorf("experiments: unknown terminal %q", name)
+}
+
+// trace probes one terminal's path every 20 ms for dur from Start, on
+// a fresh scheduler.
+func (e *Env) trace(term scheduler.Terminal, dur time.Duration) ([]netsim.Sample, error) {
+	path, err := netsim.NewPath(netsim.Config{
+		Constellation: e.Cons,
+		Scheduler:     e.NewScheduler(),
+		Terminal:      term,
+		Seed:          e.Seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return path.Trace(e.Start(), dur, 20*time.Millisecond)
 }
 
 // Fig2Result is the Figure 2 artifact: a two-minute high-frequency RTT
@@ -298,16 +354,7 @@ func (e *Env) Fig2(terminalName string, dur time.Duration) (*Fig2Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	path, err := netsim.NewPath(netsim.Config{
-		Constellation: e.Cons,
-		Scheduler:     e.Sched,
-		Terminal:      term,
-		Seed:          e.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	samples, err := path.Trace(e.Start(), dur, 20*time.Millisecond)
+	samples, err := e.trace(term, dur)
 	if err != nil {
 		return nil, err
 	}
@@ -342,16 +389,7 @@ func (e *Env) WindowStats(dur time.Duration) ([]WindowStatsResult, error) {
 	}
 	var out []WindowStatsResult
 	for _, term := range e.Terminals {
-		path, err := netsim.NewPath(netsim.Config{
-			Constellation: e.Cons,
-			Scheduler:     e.Sched,
-			Terminal:      term,
-			Seed:          e.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		samples, err := path.Trace(e.Start(), dur, 20*time.Millisecond)
+		samples, err := e.trace(term, dur)
 		if err != nil {
 			return nil, err
 		}
@@ -400,10 +438,11 @@ func (e *Env) Fig3(terminalName string) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	sched := e.NewScheduler()
 	start := e.Start()
 	// Slot t-1 and t: paint the true serving satellite's track.
 	m := obstruction.New()
-	allocs := e.Sched.Allocate(start)
+	allocs := sched.Allocate(start)
 	var a0 scheduler.Allocation
 	for _, a := range allocs {
 		if a.Terminal == term.Name {
@@ -419,7 +458,7 @@ func (e *Env) Fig3(terminalName string) (*Fig3Result, error) {
 	prev := m.Clone()
 
 	next := start.Add(scheduler.Period)
-	allocs = e.Sched.Allocate(next)
+	allocs = sched.Allocate(next)
 	var a1 scheduler.Allocation
 	for _, a := range allocs {
 		if a.Terminal == term.Name {
@@ -468,17 +507,11 @@ func (e *Env) IdentValidation(slots int, naive bool) (*IdentResult, error) {
 	if slots == 0 {
 		slots = 125 // 125 slots x 4 terminals = 500 identifications
 	}
+	cfg := e.Campaign(e.Scheduler, slots, false)
 	ident := *e.Ident
 	ident.UseNaiveMatcher = naive
-	src := &pipeline.Campaign{Config: core.CampaignConfig{
-		Scheduler:  e.Sched,
-		Identifier: &ident,
-		Start:      e.Start(),
-		Slots:      slots,
-		Workers:    e.Workers,
-		Metrics:    e.Metrics,
-		Snapshots:  e.Snaps,
-	}}
+	cfg.Identifier = &ident
+	src := &pipeline.Campaign{Config: cfg}
 	var margins []float64
 	p := &pipeline.Pipeline{
 		Source:  src,
@@ -505,37 +538,10 @@ func (e *Env) IdentValidation(slots int, naive bool) (*IdentResult, error) {
 	return out, nil
 }
 
-// CampaignSource returns a pipeline source for one of this
-// environment's campaigns, ready to wire into arbitrary stages and
-// sinks. slots 0 defaults to 500.
-func (e *Env) CampaignSource(slots int, oracle bool) *pipeline.Campaign {
-	if slots == 0 {
-		slots = 500
-	}
-	return &pipeline.Campaign{Config: core.CampaignConfig{
-		Scheduler:  e.Sched,
-		Identifier: e.Ident,
-		Start:      e.Start(),
-		Slots:      slots,
-		Oracle:     oracle,
-		Workers:    e.Workers,
-		Metrics:    e.Metrics,
-		Snapshots:  e.Snaps,
-	}}
-}
-
-// StreamObservations drives one oracle campaign through the pipeline,
-// feeding every sink the chosen-only observation stream (the §5/§6
-// input rows), and returns the campaign's O(1)-memory summary —
-// including how many records were dropped on the way and why.
-func (e *Env) StreamObservations(slots int, sinks ...pipeline.Sink) (*core.CampaignStats, error) {
-	return e.StreamCampaign(e.CampaignSource(slots, true).Config, sinks...)
-}
-
 // StreamCampaign drives the campaign cfg describes through the
 // pipeline, feeding every sink its chosen-only observation stream, and
-// returns the campaign summary. cfg normally comes from this
-// environment (CampaignSource, or a scenario's lowering of it).
+// returns the campaign summary. cfg normally comes from Campaign, or a
+// scenario's lowering of it.
 func (e *Env) StreamCampaign(cfg core.CampaignConfig, sinks ...pipeline.Sink) (*core.CampaignStats, error) {
 	src := &pipeline.Campaign{Config: cfg}
 	p := &pipeline.Pipeline{
@@ -550,23 +556,18 @@ func (e *Env) StreamCampaign(cfg core.CampaignConfig, sinks ...pipeline.Sink) (*
 	return src.Stats, nil
 }
 
-// Observations runs an oracle campaign and returns the §5/§6 inputs
-// (batch wrapper over StreamObservations).
+// Observations runs an oracle campaign and returns the §5/§6 inputs.
 func (e *Env) Observations(slots int) ([]core.Observation, error) {
-	obs, _, err := e.ObservationsWithStats(slots)
-	return obs, err
+	return e.observations(e.Scheduler, slots)
 }
 
-// ObservationsWithStats is Observations plus the campaign summary:
-// record and served-row totals and the skip-reason histogram behind
-// every dropped slot.
-func (e *Env) ObservationsWithStats(slots int) ([]core.Observation, *core.CampaignStats, error) {
+// observations is Observations under the scheduler config sc.
+func (e *Env) observations(sc scheduler.Config, slots int) ([]core.Observation, error) {
 	collect := &pipeline.CollectObservations{}
-	st, err := e.StreamObservations(slots, collect)
-	if err != nil {
-		return nil, nil, err
+	if _, err := e.StreamCampaign(e.Campaign(sc, slots, true), collect); err != nil {
+		return nil, err
 	}
-	return collect.Obs, st, nil
+	return collect.Obs, nil
 }
 
 // StreamResult is one single-pass run of every §5 analysis and the §6
@@ -593,7 +594,7 @@ func (e *Env) StreamAnalyses(slots int) (*StreamResult, error) {
 	la := core.NewLaunchAccumulator("New York")
 	su := core.NewSunlitAccumulator(27)
 	ds := core.NewDatasetBuilder()
-	st, err := e.StreamObservations(slots,
+	st, err := e.StreamCampaign(e.Campaign(e.Scheduler, slots, true),
 		pipeline.Feed(aoe), pipeline.Feed(az), pipeline.Feed(la), pipeline.Feed(su), pipeline.Feed(ds))
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"repro/internal/astro"
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/netsim"
 	"repro/internal/scheduler"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -26,6 +25,27 @@ import (
 //     term and the model should get more accurate.
 //   - GSO ablation: disabling the exclusion zone should erase most of
 //     the north preference, confirming the paper's §5.1 rationale.
+//
+// Each comparison arm is an Arm of the environment's scheduler config
+// that edits one setting, so both sides of a comparison share the
+// constellation, snapshot cache and identifier.
+
+// The §8 comparison arms' edits.
+var (
+	southernSites = func(sc *scheduler.Config) { sc.Terminals = terminalsAt(geo.SouthernVantagePoints()) }
+	noGSO         = func(sc *scheduler.Config) { sc.GSOProtectionDeg = -1 }
+	// noHiddenLoad zeroes the hidden load term; score noise remains.
+	noHiddenLoad = func(sc *scheduler.Config) {
+		sc.Weights = scheduler.DefaultWeights()
+		sc.Weights.Load = 0
+	}
+	// deterministic also removes the score noise and the battery term,
+	// which is as unobservable as load.
+	deterministic = func(sc *scheduler.Config) {
+		noHiddenLoad(sc)
+		sc.Weights.NoiseStd, sc.Weights.Charge = 1e-9, 0
+	}
+)
 
 // HemisphereSite is one site's directional statistics. NorthFrac must
 // be read against AvailNorthFrac: at extreme latitudes a 53°-shell
@@ -56,16 +76,12 @@ func (e *Env) HemisphereComparison(slots int) (*HemisphereResult, error) {
 	if slots == 0 {
 		slots = 200
 	}
-	south, err := e.Sibling(func(c *Config) { c.VantagePoints = geo.SouthernVantagePoints() })
-	if err != nil {
-		return nil, fmt.Errorf("experiments: southern env: %w", err)
-	}
 	res := &HemisphereResult{}
 	for _, pair := range []struct {
-		env *Env
+		sc  scheduler.Config
 		out *[]HemisphereSite
-	}{{e, &res.Northern}, {south, &res.Southern}} {
-		obs, err := pair.env.Observations(slots)
+	}{{e.Scheduler, &res.Northern}, {e.Arm(southernSites), &res.Southern}} {
+		obs, err := e.observations(pair.sc, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +98,7 @@ func (e *Env) HemisphereComparison(slots int) (*HemisphereResult, error) {
 			}
 		}
 		isNorth := func(a float64) bool { return a < 90 || a >= 270 }
-		for _, t := range pair.env.Terminals {
+		for _, t := range pair.sc.Terminals {
 			az := chosenByTerm[t.Name]
 			if len(az) == 0 {
 				continue
@@ -127,30 +143,17 @@ func (e *Env) LoadSensitivity(slots int) (*LoadSensitivityResult, error) {
 	if slots == 0 {
 		slots = 400
 	}
-	noLoad := scheduler.DefaultWeights()
-	noLoad.Load = 0
-	quiet, err := e.Sibling(func(c *Config) { c.Weights = noLoad })
-	if err != nil {
-		return nil, fmt.Errorf("experiments: no-load env: %w", err)
-	}
-	det := noLoad
-	det.NoiseStd = 1e-9
-	det.Charge = 0 // battery state is as unobservable as load
-	deterministic, err := e.Sibling(func(c *Config) { c.Weights = det })
-	if err != nil {
-		return nil, fmt.Errorf("experiments: deterministic env: %w", err)
-	}
 	out := &LoadSensitivityResult{}
 	for _, pair := range []struct {
-		env  *Env
+		sc   scheduler.Config
 		acc  *float64
 		top1 *float64
 	}{
-		{e, &out.WithHiddenLoad, &out.WithHiddenLoadTop1},
-		{quiet, &out.WithoutHiddenLoad, &out.WithoutHiddenLoadTop1},
-		{deterministic, &out.Deterministic, &out.DeterministicTop1},
+		{e.Scheduler, &out.WithHiddenLoad, &out.WithHiddenLoadTop1},
+		{e.Arm(noHiddenLoad), &out.WithoutHiddenLoad, &out.WithoutHiddenLoadTop1},
+		{e.Arm(deterministic), &out.Deterministic, &out.DeterministicTop1},
 	} {
-		obs, err := pair.env.Observations(slots)
+		obs, err := e.observations(pair.sc, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -158,7 +161,7 @@ func (e *Env) LoadSensitivity(slots int) (*LoadSensitivityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		mc := QuickModelConfig(pair.env.Seed + 1)
+		mc := QuickModelConfig(e.Seed + 1)
 		mc.Workers = e.Workers
 		res, err := core.TrainModelCtx(e.ctx(), d, mc)
 		if err != nil {
@@ -187,16 +190,12 @@ func (e *Env) GSOAblation(slots int) (*GSOAblationResult, error) {
 	if slots == 0 {
 		slots = 200
 	}
-	noGSO, err := e.Sibling(func(c *Config) { c.GSOProtectionDeg = -1 })
-	if err != nil {
-		return nil, fmt.Errorf("experiments: no-GSO env: %w", err)
-	}
 	out := &GSOAblationResult{}
 	for _, pair := range []struct {
-		env  *Env
+		sc   scheduler.Config
 		frac *float64
-	}{{e, &out.NorthFracWithGSO}, {noGSO, &out.NorthFracWithoutGSO}} {
-		obs, err := pair.env.Observations(slots)
+	}{{e.Scheduler, &out.NorthFracWithGSO}, {e.Arm(noGSO), &out.NorthFracWithoutGSO}} {
+		obs, err := e.observations(pair.sc, slots)
 		if err != nil {
 			return nil, err
 		}
@@ -242,16 +241,7 @@ func (e *Env) HandoverAnalysis(terminalName string, dur time.Duration) (*Handove
 	if err != nil {
 		return nil, err
 	}
-	path, err := netsim.NewPath(netsim.Config{
-		Constellation: e.Cons,
-		Scheduler:     e.Sched,
-		Terminal:      term,
-		Seed:          e.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	samples, err := path.Trace(e.Start(), dur, 20*time.Millisecond)
+	samples, err := e.trace(term, dur)
 	if err != nil {
 		return nil, err
 	}
@@ -350,6 +340,7 @@ func (e *Env) MotionVsReallocation(terminalName string, slots int) (*MotionResul
 		return 2 * (up + down) / units.SpeedOfLightKmPerSec * 1000, nil
 	}
 
+	sched := e.NewScheduler()
 	var drifts, jumps []float64
 	prevID := 0
 	prevEndRTT := 0.0
@@ -357,7 +348,7 @@ func (e *Env) MotionVsReallocation(terminalName string, slots int) (*MotionResul
 	for i := 0; i < slots; i++ {
 		slotStart := start.Add(time.Duration(i) * scheduler.Period)
 		var alloc scheduler.Allocation
-		for _, a := range e.Sched.Allocate(slotStart) {
+		for _, a := range sched.Allocate(slotStart) {
 			if a.Terminal == term.Name {
 				alloc = a
 			}

@@ -11,10 +11,7 @@ import (
 	"repro/internal/pipeline"
 )
 
-// goldenEnv builds a small fixed-seed environment. Each campaign needs
-// a fresh one: the scheduler is stateful (hidden load walk, score
-// noise), so batch and streaming runs must each start from an
-// identical state.
+// goldenEnv builds a small fixed-seed environment.
 func goldenEnv(t *testing.T, workers int) *experiments.Env {
 	t.Helper()
 	env, err := experiments.NewEnv(experiments.Config{
@@ -26,17 +23,6 @@ func goldenEnv(t *testing.T, workers int) *experiments.Env {
 		t.Fatal(err)
 	}
 	return env
-}
-
-func goldenCfg(env *experiments.Env, slots, workers int, oracle bool) core.CampaignConfig {
-	return core.CampaignConfig{
-		Scheduler:  env.Sched,
-		Identifier: env.Ident,
-		Start:      env.Start(),
-		Slots:      slots,
-		Oracle:     oracle,
-		Workers:    workers,
-	}
 }
 
 // engineRecords runs a campaign straight through the engine, outside
@@ -78,13 +64,14 @@ func TestPipelineMatchesBatchGolden(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("oracle=%v/workers=%d", tc.oracle, workers), func(t *testing.T) {
 				// Batch reference.
-				envB := goldenEnv(t, workers)
-				records, obs, batch := engineRecords(t, goldenCfg(envB, tc.slots, workers, tc.oracle))
+				env := goldenEnv(t, workers)
+				// Each Campaign call builds a fresh scheduler (hidden load
+				// walk, score noise), so both runs start from one state.
+				records, obs, batch := engineRecords(t, env.Campaign(env.Scheduler, tc.slots, tc.oracle))
 
-				// Streaming pipeline on an identical fresh environment,
+				// Streaming pipeline on an identical fresh campaign,
 				// fanning one pass into every incremental consumer.
-				envS := goldenEnv(t, workers)
-				src := &pipeline.Campaign{Config: goldenCfg(envS, tc.slots, workers, tc.oracle)}
+				src := &pipeline.Campaign{Config: env.Campaign(env.Scheduler, tc.slots, tc.oracle)}
 				collect := &pipeline.Collect{}
 				counts := &pipeline.CountSkips{}
 				aoe := core.NewAOEAccumulator(9)

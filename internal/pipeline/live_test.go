@@ -18,10 +18,11 @@ import (
 // dish firmware does, exposing only the MapFetcher surface — a live
 // capture's view of the world, with the ground truth hidden.
 type simDish struct {
-	env  *experiments.Env
-	term scheduler.Terminal
-	m    *obstruction.Map
-	next time.Time
+	sched *scheduler.Global
+	ident *core.Identifier
+	term  scheduler.Terminal
+	m     *obstruction.Map
+	next  time.Time
 }
 
 func (d *simDish) Reset() error {
@@ -30,10 +31,10 @@ func (d *simDish) Reset() error {
 }
 
 func (d *simDish) ObstructionMap() (*obstruction.Map, error) {
-	allocs := d.env.Sched.Allocate(d.next)
+	allocs := d.sched.Allocate(d.next)
 	for _, a := range allocs {
 		if a.Terminal == d.term.Name && a.SatID != 0 {
-			if err := d.env.Ident.PaintServingTrack(d.m, a.SatID, d.term.VantagePoint, d.next); err != nil {
+			if err := d.ident.PaintServingTrack(d.m, a.SatID, d.term.VantagePoint, d.next); err != nil {
 				return nil, err
 			}
 		}
@@ -66,32 +67,26 @@ func TestLiveMatchesCampaign(t *testing.T) {
 	const slots = 20
 	const resetEvery = 8
 
-	// Ground-truth reference: the campaign engine on a fresh env.
-	envB := liveEnv(t)
-	records, _, _ := engineRecords(t, core.CampaignConfig{
-		Scheduler:  envB.Sched,
-		Identifier: envB.Ident,
-		Start:      envB.Start(),
-		Slots:      slots,
-		ResetEvery: resetEvery,
-		Workers:    1,
-	})
+	// Ground-truth reference: the campaign engine on a fresh scheduler.
+	env := liveEnv(t)
+	cfg := env.Campaign(env.Scheduler, slots, false)
+	cfg.ResetEvery = resetEvery
+	records, _, _ := engineRecords(t, cfg)
 	if len(records) != slots {
 		t.Fatalf("campaign produced %d records, want %d", len(records), slots)
 	}
 
-	// Live capture against an identical fresh env, seen only through
-	// the dish API.
-	envL := liveEnv(t)
-	term := envL.Terminals[0]
-	dish := &simDish{env: envL, term: term, m: obstruction.New(), next: envL.Start()}
+	// Live capture against an identical fresh scheduler, seen only
+	// through the dish API.
+	term := env.Terminals[0]
+	dish := &simDish{sched: env.NewScheduler(), ident: env.Ident, term: term, m: obstruction.New(), next: env.Start()}
 	collect := &pipeline.Collect{}
 	p := &pipeline.Pipeline{
 		Source: &pipeline.Live{
 			Dish:       dish,
-			Ident:      envL.Ident,
+			Ident:      env.Ident,
 			Terminal:   term,
-			Start:      envL.Start(),
+			Start:      env.Start(),
 			Slots:      slots,
 			ResetEvery: resetEvery,
 			WaitSlot:   func(ctx context.Context, t time.Time) error { return nil },

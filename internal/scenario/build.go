@@ -18,13 +18,6 @@ type BuildOptions struct {
 	TraceDecisions int
 }
 
-// Built is a lowered scenario: the spec and the ready environment it
-// describes. The campaign shape stays in Spec.Campaign.
-type Built struct {
-	Spec *Spec
-	Env  *experiments.Env
-}
-
 // Starlink is the spec the repro -scale/-seed/-slots flags describe:
 // the scale's Starlink Walker-delta shells over the paper's four
 // sites, default scheduler, an oracle campaign of the given length.
@@ -85,7 +78,7 @@ func (s *Spec) EnvConfig(opt BuildOptions) (experiments.Config, error) {
 }
 
 // Build validates the spec and lowers it into a ready environment.
-func (s *Spec) Build(opt BuildOptions) (*Built, error) {
+func (s *Spec) Build(opt BuildOptions) (*experiments.Env, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -97,35 +90,26 @@ func (s *Spec) Build(opt BuildOptions) (*Built, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	return &Built{Spec: s, Env: env}, nil
+	return env, nil
 }
 
 // IdentSlots bounds the §4 identification-validation run: the spec's
 // ident_slots, else min(slots, 125) — the study's 500-identification
 // budget over four terminals.
-func (b *Built) IdentSlots() int {
-	if n := b.Spec.Campaign.IdentSlots; n > 0 {
+func (s *Spec) IdentSlots() int {
+	if n := s.Campaign.IdentSlots; n > 0 {
 		return n
 	}
-	return min(b.Spec.Campaign.Slots, 125)
+	return min(s.Campaign.Slots, 125)
 }
 
-// CampaignConfig lowers the built scenario into the campaign engine's
-// config — the same construction Env.CampaignSource uses, so a
-// scenario that mirrors the default environment produces a
-// bit-identical record stream. Every campaign run from a spec, local
-// or sharded, starts here.
-func (b *Built) CampaignConfig() core.CampaignConfig {
-	c := &b.Spec.Campaign
-	return core.CampaignConfig{
-		Scheduler:  b.Env.Sched,
-		Identifier: b.Env.Ident,
-		Start:      b.Env.Start(),
-		Slots:      c.Slots,
-		Oracle:     c.Oracle,
-		ResetEvery: c.ResetEvery,
-		Workers:    b.Env.Workers,
-		Metrics:    b.Env.Metrics,
-		Snapshots:  b.Env.Snaps,
-	}
+// CampaignConfig lowers the spec's campaign on env, the environment
+// Build made from it, through env.Campaign: a fresh scheduler, so a
+// spec that mirrors the default environment produces a bit-identical
+// record stream. Every campaign run from a spec, local or sharded,
+// starts here.
+func (s *Spec) CampaignConfig(env *experiments.Env) core.CampaignConfig {
+	cfg := env.Campaign(env.Scheduler, s.Campaign.Slots, s.Campaign.Oracle)
+	cfg.ResetEvery = s.Campaign.ResetEvery
+	return cfg
 }

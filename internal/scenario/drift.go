@@ -39,8 +39,8 @@ type DriftConfig struct {
 	// pre-flip scheduler, seed, and the campaign — Campaign.Slots is the
 	// total length across both phases.
 	Spec *Spec
-	// Telemetry is the host registry both phases' environments report
-	// to (nil disables).
+	// Telemetry is the host registry both phases report to (nil
+	// disables).
 	Telemetry *telemetry.Registry
 	// FlipAt is the slot index at which the scheduler weights change
 	// (default Slots/2).
@@ -127,10 +127,10 @@ func (d *driftTracker) observe(rec *pipeline.Record, up pipeline.ScoreUpdate) {
 }
 
 // RunDrift executes the two-phase campaign against cfg.Scorer. Both
-// phases share one constellation (same spec), and phase two starts
-// exactly FlipAt periods after phase one's epoch, so the stream the
-// scorer sees is one continuous campaign whose only discontinuity is
-// the scheduler's weights. (The post-flip scheduler restarts its
+// phases run on one environment built from the spec, and phase two
+// starts exactly FlipAt periods after phase one's epoch, so the stream
+// the scorer sees is one continuous campaign whose only discontinuity
+// is the scheduler's weights. (The post-flip scheduler restarts its
 // load/recency bookkeeping — the real analogue is a scheduler redeploy,
 // which also resets in-memory state.)
 func RunDrift(cfg DriftConfig) (*DriftResult, error) {
@@ -152,15 +152,11 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 		post = *cfg.PostWeights
 	}
 
-	pre, err := cfg.Spec.Build(BuildOptions{Telemetry: cfg.Telemetry})
+	env, err := cfg.Spec.Build(BuildOptions{Telemetry: cfg.Telemetry})
 	if err != nil {
 		return nil, err
 	}
-	envB, err := pre.Env.Sibling(func(c *experiments.Config) { c.Weights = post })
-	if err != nil {
-		return nil, err
-	}
-	flipped := &Built{Spec: cfg.Spec, Env: envB}
+	preCfg, postCfg := driftPhases(env, cfg.Spec, cfg.FlipAt, post)
 
 	res := &DriftResult{
 		Slots: slots, FlipAt: cfg.FlipAt,
@@ -174,9 +170,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	if cfg.Offline {
 		sinks = append(sinks, collect)
 	}
-	preCfg := pre.CampaignConfig()
-	preCfg.Slots = cfg.FlipAt
-	res.PreStats, err = pre.Env.StreamCampaign(preCfg, sinks...)
+	res.PreStats, err = env.StreamCampaign(preCfg, sinks...)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: drift pre-flip phase: %w", err)
 	}
@@ -186,16 +180,13 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	tr.post = true
 	tr.lastSlot = time.Time{}
 	tr.slotIdx = 0
-	postCfg := flipped.CampaignConfig()
-	postCfg.Start = postCfg.Start.Add(time.Duration(cfg.FlipAt) * scheduler.Period)
-	postCfg.Slots = slots - cfg.FlipAt
-	res.PostStats, err = envB.StreamCampaign(postCfg, tr.sink())
+	res.PostStats, err = env.StreamCampaign(postCfg, tr.sink())
 	if err != nil {
 		return nil, fmt.Errorf("scenario: drift post-flip phase: %w", err)
 	}
 
 	if cfg.Offline {
-		mres, err := pre.Env.Fig8(collect.Obs, experiments.QuickModelConfig(cfg.Spec.Seed))
+		mres, err := env.Fig8(collect.Obs, experiments.QuickModelConfig(cfg.Spec.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("scenario: drift offline comparison: %w", err)
 		}
@@ -203,4 +194,17 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 		res.OfflineBaselineTop1 = mres.BaselineTopK[0]
 	}
 	return res, nil
+}
+
+// driftPhases lowers the two phases on env: the spec's campaign up to
+// the flip, then the rest of it under an Arm of env's scheduler config
+// that differs only in its weights, starting flipAt periods later.
+func driftPhases(env *experiments.Env, spec *Spec, flipAt int, post scheduler.Weights) (before, after core.CampaignConfig) {
+	before = spec.CampaignConfig(env)
+	before.Slots = flipAt
+	arm := env.Arm(func(sc *scheduler.Config) { sc.Weights = post })
+	after = env.Campaign(arm, spec.Campaign.Slots-flipAt, spec.Campaign.Oracle)
+	after.ResetEvery = spec.Campaign.ResetEvery
+	after.Start = after.Start.Add(time.Duration(flipAt) * scheduler.Period)
+	return before, after
 }

@@ -2,10 +2,14 @@ package scenario
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/predict"
+	"repro/internal/scheduler"
+	"repro/internal/telemetry"
 )
 
 // TestRunDrift walks the full adversarial arc against a synchronous
@@ -93,5 +97,46 @@ func TestRunDriftValidation(t *testing.T) {
 	}
 	if _, err := RunDrift(DriftConfig{Spec: Starlink(experiments.Small, 1, 10), Scorer: svc, FlipAt: 10}); err == nil {
 		t.Error("flip at campaign end accepted")
+	}
+}
+
+// TestDriftPhasesShareEnv: the post-flip phase is an arm of the
+// pre-flip environment. It runs on the same identifier, snapshot
+// cache, metrics and worker pool, continues the clock at the flip,
+// and its scheduler is the environment's with only the weights
+// changed.
+func TestDriftPhasesShareEnv(t *testing.T) {
+	spec := Starlink(experiments.Small, 3, 12)
+	spec.Campaign.Workers = 1
+	reg := telemetry.NewRegistry()
+	env, err := spec.Build(BuildOptions{Telemetry: reg, TraceDecisions: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flipAt = 5
+	before, after := driftPhases(env, spec, flipAt, FlippedWeights())
+	for name, c := range map[string]core.CampaignConfig{"pre-flip": before, "post-flip": after} {
+		if c.Identifier != env.Ident || c.Snapshots != env.Snaps || c.Metrics != env.Metrics || c.Workers != 1 {
+			t.Errorf("%s phase left the environment's identifier, cache, metrics or workers", name)
+		}
+		if c.Oracle != spec.Campaign.Oracle || c.ResetEvery != spec.Campaign.ResetEvery {
+			t.Errorf("%s phase changed the spec's campaign shape", name)
+		}
+	}
+	if before.Scheduler == after.Scheduler {
+		t.Fatal("both phases share one scheduler")
+	}
+	if before.Slots != flipAt || after.Slots != spec.Campaign.Slots-flipAt {
+		t.Errorf("phases of %d + %d slots, want %d + %d", before.Slots, after.Slots, flipAt, spec.Campaign.Slots-flipAt)
+	}
+	if want := before.Start.Add(flipAt * scheduler.Period); !after.Start.Equal(want) {
+		t.Errorf("post-flip phase starts %v, want %v", after.Start, want)
+	}
+	ref, err := scheduler.NewGlobal(env.Arm(func(sc *scheduler.Config) { sc.Weights = FlippedWeights() }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := after.Scheduler.Allocate(after.Start), ref.Allocate(after.Start); !reflect.DeepEqual(got, want) {
+		t.Errorf("post-flip scheduler allocates %+v, the weights arm %+v", got, want)
 	}
 }

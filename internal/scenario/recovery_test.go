@@ -24,11 +24,11 @@ func TestPlantedPreferenceRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Campaign.Slots = 240 // the preset's 400 recovers too; 240 keeps CI fast
-	built, err := spec.Build(scenario.BuildOptions{})
+	env, err := spec.Build(scenario.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := built.Env.Observations(spec.Campaign.Slots)
+	obs, err := env.Observations(spec.Campaign.Slots)
 	if err != nil {
 		t.Fatal(err)
 	}

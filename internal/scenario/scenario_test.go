@@ -210,15 +210,15 @@ func TestStarlinkBaselineBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromScenario := streamBytes(t, built.CampaignConfig())
+			fromScenario := streamBytes(t, tc.spec.CampaignConfig(built))
 
 			env, err := experiments.NewEnv(experiments.Config{Scale: tc.scale, Seed: tc.seed, Workers: 1, SnapshotWorkers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromDefault := streamBytes(t, env.CampaignSource(slots, true).Config)
+			fromDefault := streamBytes(t, env.Campaign(env.Scheduler, slots, true))
 
-			if built.Env.Cons.Fingerprint() != env.Cons.Fingerprint() {
+			if built.Cons.Fingerprint() != env.Cons.Fingerprint() {
 				t.Fatal("scenario constellation fingerprint differs from the default environment's")
 			}
 			if !bytes.Equal(fromScenario, fromDefault) {
@@ -244,7 +244,7 @@ func TestWalkerStarPresetBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons := built.Env.Cons
+	cons := built.Cons
 	if cons.Len() != 18*36 {
 		t.Fatalf("OneWeb constellation has %d sats, want 648", cons.Len())
 	}
@@ -258,7 +258,7 @@ func TestWalkerStarPresetBuilds(t *testing.T) {
 	if cons.Fingerprint() == env.Cons.Fingerprint() {
 		t.Fatal("OneWeb fingerprint collides with Starlink medium")
 	}
-	if got := streamBytes(t, built.CampaignConfig()); len(got) == 0 {
+	if got := streamBytes(t, spec.CampaignConfig(built)); len(got) == 0 {
 		t.Fatal("empty OneWeb campaign stream")
 	}
 }
