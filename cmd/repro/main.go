@@ -819,7 +819,7 @@ func runIdent(env *experiments.Env, dir string) error {
 		if err != nil {
 			return err
 		}
-		cands := env.Ident.CandidatePolarTracksFromSnapshot(env.Ident.Snapshot(slot), term.VantagePoint, slot)
+		cands, dropped := env.Ident.CandidatePolarTracksFromSnapshot(env.Ident.Snapshot(slot), term.VantagePoint, slot)
 		plot, err := skyplot.Validation(400, observed, cands, a.SatID)
 		if err != nil {
 			return err
@@ -835,6 +835,9 @@ func runIdent(env *experiments.Env, dir string) error {
 		}
 		f.Close()
 		fmt.Printf("wrote %s (%d candidate tracks, winner %d highlighted)\n", path, len(cands), a.SatID)
+		if dropped > 0 {
+			fmt.Printf("  %d in-view candidates dropped by propagation errors\n", dropped)
+		}
 	}
 	res, err := env.IdentValidation(125, false)
 	if err != nil {

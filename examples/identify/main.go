@@ -93,7 +93,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cands := env.Ident.CandidatePolarTracksFromSnapshot(env.Ident.Snapshot(slot), iowa.VantagePoint, slot)
+		cands, dropped := env.Ident.CandidatePolarTracksFromSnapshot(env.Ident.Snapshot(slot), iowa.VantagePoint, slot)
 		plot, err := skyplot.Validation(400, observed, cands, lastAlloc.SatID)
 		if err != nil {
 			log.Fatal(err)
@@ -107,6 +107,9 @@ func main() {
 		}
 		f.Close()
 		fmt.Println("wrote validation.png (observed track in white, DTW winner in green)")
+		if dropped > 0 {
+			fmt.Printf("  %d in-view candidates dropped by propagation errors\n", dropped)
+		}
 	}
 
 	// The packaged campaign runs the same loop at scale, with 10-minute

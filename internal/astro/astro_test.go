@@ -214,7 +214,7 @@ func TestTEMEToECEFPreservesNorm(t *testing.T) {
 	tm := time.Date(2023, 5, 1, 6, 30, 0, 0, time.UTC)
 	for i := 0; i < 100; i++ {
 		p := units.Vec3{X: rng.NormFloat64() * 7000, Y: rng.NormFloat64() * 7000, Z: rng.NormFloat64() * 7000}
-		q, _ := TEMEToECEF(p, units.Vec3{}, tm)
+		q := FrameAt(tm).ToECEF(p)
 		if math.Abs(q.Norm()-p.Norm()) > 1e-6*math.Max(p.Norm(), 1) {
 			t.Fatalf("rotation changed norm: %v -> %v", p.Norm(), q.Norm())
 		}
@@ -291,24 +291,42 @@ func TestShadowCrossCheck(t *testing.T) {
 	}
 }
 
+// temeToECEF is the per-call TEME→ECEF rotation written out: GMST at
+// t, its sine and cosine, and the rotation about the Z axis. Frame
+// hoists the first two out of loops; this oracle keeps it honest.
+func temeToECEF(pos units.Vec3, t time.Time) units.Vec3 {
+	theta := GMST(t)
+	c, s := math.Cos(theta), math.Sin(theta)
+	return units.Vec3{
+		X: c*pos.X + s*pos.Y,
+		Y: -s*pos.X + c*pos.Y,
+		Z: pos.Z,
+	}
+}
+
+func sameBits(a, b units.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
+}
+
 func TestFrameMatchesTEMEToECEF(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, tm := range []time.Time{
 		time.Date(2023, 3, 1, 0, 0, 0, 0, time.UTC),
 		time.Date(2023, 8, 14, 6, 45, 12, 0, time.UTC),
+		time.Date(2024, 1, 9, 23, 59, 59, 500_000_000, time.UTC),
 	} {
 		f := FrameAt(tm)
 		for i := 0; i < 500; i++ {
 			pos := units.Vec3{X: rng.NormFloat64() * 7000, Y: rng.NormFloat64() * 7000, Z: rng.NormFloat64() * 7000}
-			vel := units.Vec3{X: rng.NormFloat64() * 8, Y: rng.NormFloat64() * 8, Z: rng.NormFloat64() * 8}
-			wantP, wantV := TEMEToECEF(pos, vel, tm)
-			gotP, gotV := f.ToECEFVel(pos, vel)
-			if gotP != wantP || gotV != wantV {
-				t.Fatalf("Frame rotation diverged from TEMEToECEF: got (%v, %v), want (%v, %v)", gotP, gotV, wantP, wantV)
-			}
-			if only := f.ToECEF(pos); only != wantP {
-				t.Fatalf("Frame.ToECEF = %v, want %v", only, wantP)
+			if got, want := f.ToECEF(pos), temeToECEF(pos, tm); !sameBits(got, want) {
+				t.Fatalf("Frame.ToECEF(%v) at %v = %v, per-call rotation = %v", pos, tm, got, want)
 			}
 		}
+	}
+	sunAt := time.Date(2023, 6, 21, 12, 0, 0, 0, time.UTC)
+	if got, want := SunPositionECEF(sunAt), temeToECEF(SunPositionECI(sunAt), sunAt); !sameBits(got, want) {
+		t.Fatalf("SunPositionECEF = %v, per-call rotation = %v", got, want)
 	}
 }

@@ -172,6 +172,32 @@ func (s *Satellite) AgeYears(t time.Time) float64 {
 	return t.Sub(s.Launch).Hours() / (24 * 365.25)
 }
 
+// Track steps the satellite through [start, start+span] at the given
+// step and returns its look angles from obs, one per instant,
+// below-horizon samples included (callers filter). It is the one
+// sampler of a satellite's path across a sky: one Observer per track
+// and one rotation frame per instant. A propagation error aborts the
+// track and is returned as the propagator reported it.
+func (s *Satellite) Track(obs astro.Geodetic, start time.Time, span, step time.Duration) ([]astro.LookAngles, error) {
+	if step <= 0 {
+		return nil, fmt.Errorf("constellation: non-positive step %v", step)
+	}
+	if span < 0 {
+		return nil, fmt.Errorf("constellation: negative span %v", span)
+	}
+	o := astro.NewObserver(obs)
+	out := make([]astro.LookAngles, 0, span/step+1)
+	for dt := time.Duration(0); dt <= span; dt += step {
+		t := start.Add(dt)
+		st, err := s.Propagator.PropagateAt(t)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, o.Observe(astro.FrameAt(t).ToECEF(st.Pos)))
+	}
+	return out, nil
+}
+
 // Constellation is the full set of satellites plus lookup indices.
 type Constellation struct {
 	Sats  []*Satellite
@@ -405,27 +431,6 @@ func resolveSnapshotWorkers(workers, n int) int {
 	return workers
 }
 
-// propagateInto runs one satellite's propagation into caller-owned
-// scratch. Dispatch is devirtualized for the two built-in propagators:
-// a static call lets escape analysis keep st on the caller's stack,
-// where routing &st through the ScratchEphemeris interface would force
-// a heap allocation per sweep. Other Ephemeris implementations
-// (injected test propagators) take the value-return path.
-func propagateInto(s *Satellite, t time.Time, st *sgp4.State) error {
-	switch p := s.Propagator.(type) {
-	case *sgp4.Propagator:
-		return p.PropagateAtInto(t, st)
-	case *sgp4.KeplerJ2:
-		return p.PropagateAtInto(t, st)
-	}
-	v, err := s.Propagator.PropagateAt(t)
-	if err != nil {
-		return err
-	}
-	*st = v
-	return nil
-}
-
 // snapSkip is one propagation failure observed during a snapshot
 // sweep, tagged with its constellation position so parallel sweeps
 // fold failures in the same deterministic order as the serial loop.
@@ -453,9 +458,9 @@ func (c *Constellation) SnapshotInto(dst []SatState, t time.Time, workers int) (
 	if workers == 1 {
 		out := growStates(dst, n)[:0]
 		skipped := 0
-		var st sgp4.State
 		for _, s := range c.Sats {
-			if err := propagateInto(s, t, &st); err != nil {
+			st, err := s.Propagator.PropagateAt(t)
+			if err != nil {
 				skipped++
 				c.recordSkip(s.ID, err.Error())
 				continue
@@ -491,7 +496,6 @@ func (c *Constellation) snapshotParallel(full []SatState, t time.Time, workers i
 		go func(w int) {
 			defer wg.Done()
 			var local []snapSkip
-			var st sgp4.State
 			for {
 				hi := int(cursor.Add(snapshotChunk))
 				lo := hi - snapshotChunk
@@ -503,7 +507,8 @@ func (c *Constellation) snapshotParallel(full []SatState, t time.Time, workers i
 				}
 				for i := lo; i < hi; i++ {
 					s := c.Sats[i]
-					if err := propagateInto(s, t, &st); err != nil {
+					st, err := s.Propagator.PropagateAt(t)
+					if err != nil {
 						full[i].Sat = nil
 						local = append(local, snapSkip{idx: i, id: s.ID, msg: err.Error()})
 						continue
@@ -682,37 +687,6 @@ func sortVisible(out []Visible) {
 // at time t, sorted by descending elevation.
 func (c *Constellation) FieldOfView(obs astro.Geodetic, t time.Time, minElevDeg float64) []Visible {
 	return ObserveFrom(obs, c.Snapshot(t), minElevDeg)
-}
-
-// TrackPoint is a time-stamped topocentric sample of a satellite's
-// path across an observer's sky.
-type TrackPoint struct {
-	T    time.Time
-	Look astro.LookAngles
-}
-
-// Track samples the look angles of satellite id from obs over
-// [start, start+dur] at the given step. Samples below the horizon are
-// included (callers filter); a propagation error aborts.
-func (c *Constellation) Track(id int, obs astro.Geodetic, start time.Time, dur, step time.Duration) ([]TrackPoint, error) {
-	s := c.ByID(id)
-	if s == nil {
-		return nil, fmt.Errorf("constellation: no satellite %d", id)
-	}
-	if step <= 0 {
-		return nil, fmt.Errorf("constellation: non-positive step %v", step)
-	}
-	o := astro.NewObserver(obs)
-	end := start.Add(dur)
-	pts := make([]TrackPoint, 0, int(dur/step)+1)
-	var st sgp4.State
-	for t := start; !t.After(end); t = t.Add(step) {
-		if err := propagateInto(s, t, &st); err != nil {
-			return nil, fmt.Errorf("constellation: satellite %d at %v: %w", id, t, err)
-		}
-		pts = append(pts, TrackPoint{T: t, Look: o.Observe(astro.FrameAt(t).ToECEF(st.Pos))})
-	}
-	return pts, nil
 }
 
 // ExportTLEs renders the whole constellation in CelesTrak 3-line

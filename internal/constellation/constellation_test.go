@@ -187,8 +187,7 @@ func TestTrackContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := astro.Geodetic{LatDeg: 41.66, LonDeg: -91.53, AltKm: 0.2}
-	id := c.Sats[0].ID
-	pts, err := c.Track(id, obs, c.Epoch, 5*time.Minute, 15*time.Second)
+	pts, err := c.Sats[0].Track(obs, c.Epoch, 5*time.Minute, 15*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +198,7 @@ func TestTrackContinuity(t *testing.T) {
 		// A LEO satellite moves < 3 deg of azimuth-elevation arc in 15 s
 		// at these ranges when above the horizon... but can move fast in
 		// azimuth near zenith; bound the elevation rate only.
-		dEl := math.Abs(pts[i].Look.ElevationDeg - pts[i-1].Look.ElevationDeg)
+		dEl := math.Abs(pts[i].ElevationDeg - pts[i-1].ElevationDeg)
 		if dEl > 5 {
 			t.Errorf("elevation jumped %v deg in one 15 s step", dEl)
 		}
@@ -212,11 +211,15 @@ func TestTrackErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := astro.Geodetic{}
-	if _, err := c.Track(999999, obs, c.Epoch, time.Minute, time.Second); err == nil {
-		t.Error("expected error for unknown satellite")
+	if c.ByID(999999) != nil {
+		t.Error("expected no satellite for an unknown ID")
 	}
-	if _, err := c.Track(c.Sats[0].ID, obs, c.Epoch, time.Minute, 0); err == nil {
+	sat := c.Sats[0]
+	if _, err := sat.Track(obs, c.Epoch, time.Minute, 0); err == nil {
 		t.Error("expected error for zero step")
+	}
+	if _, err := sat.Track(obs, c.Epoch, -time.Minute, time.Second); err == nil {
+		t.Error("expected error for negative span")
 	}
 }
 

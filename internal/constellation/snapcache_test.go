@@ -11,12 +11,8 @@ import (
 
 // failEph is an Ephemeris whose propagation always fails, for
 // exercising the skip accounting.
-type failEph struct{ epoch time.Time }
+type failEph struct{}
 
-func (f failEph) Epoch() time.Time { return f.epoch }
-func (f failEph) Propagate(float64) (sgp4.State, error) {
-	return sgp4.State{}, errors.New("synthetic decay")
-}
 func (f failEph) PropagateAt(time.Time) (sgp4.State, error) {
 	return sgp4.State{}, errors.New("synthetic decay")
 }
@@ -116,8 +112,8 @@ func TestSnapshotCacheEvictionRespectsPins(t *testing.T) {
 func TestSnapshotCacheCountsSkips(t *testing.T) {
 	cons := testCons(t)
 	// Break two satellites' propagators.
-	cons.Sats[3].Propagator = failEph{epoch: cons.Epoch}
-	cons.Sats[7].Propagator = failEph{epoch: cons.Epoch}
+	cons.Sats[3].Propagator = failEph{}
+	cons.Sats[7].Propagator = failEph{}
 
 	reg := telemetry.NewRegistry()
 	cache := NewSnapshotCache(4, reg)

@@ -39,7 +39,7 @@ func runSnapshot(t *testing.T, workers int, at time.Duration, failIdx []int) sna
 		t.Fatal(err)
 	}
 	for _, i := range failIdx {
-		cons.Sats[i].Propagator = failEph{epoch: cons.Epoch}
+		cons.Sats[i].Propagator = failEph{}
 	}
 	states, skipped := cons.SnapshotInto(nil, cons.Epoch.Add(at), workers)
 	total, bySat := cons.PropagationSkips()

@@ -289,7 +289,10 @@ func TestCandidatePolarTracks(t *testing.T) {
 	vp := fixture.sched.Terminals()[0].VantagePoint
 	start := fixture.cons.Epoch.Add(3 * time.Hour)
 	slot := scheduler.EpochStart(start)
-	tracks := fixture.ident.CandidatePolarTracksFromSnapshot(fixture.ident.Snapshot(slot), vp, slot)
+	tracks, dropped := fixture.ident.CandidatePolarTracksFromSnapshot(fixture.ident.Snapshot(slot), vp, slot)
+	if dropped != 0 {
+		t.Fatalf("healthy constellation dropped %d candidates", dropped)
+	}
 	if len(tracks) == 0 {
 		t.Fatal("no candidate tracks")
 	}

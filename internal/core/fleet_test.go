@@ -38,12 +38,8 @@ func fleetTerminals(n int) []scheduler.Terminal {
 }
 
 // brokenEph always fails, standing in for decayed elements.
-type brokenEph struct{ epoch time.Time }
+type brokenEph struct{}
 
-func (b brokenEph) Epoch() time.Time { return b.epoch }
-func (b brokenEph) Propagate(float64) (sgp4.State, error) {
-	return sgp4.State{}, errors.New("stale elements")
-}
 func (b brokenEph) PropagateAt(time.Time) (sgp4.State, error) {
 	return sgp4.State{}, errors.New("stale elements")
 }
@@ -63,7 +59,7 @@ func TestCampaignStatsPropagationSkips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cons.Sats[5].Propagator = brokenEph{epoch: cons.Epoch}
+		cons.Sats[5].Propagator = brokenEph{}
 
 		ident, err := NewIdentifier(cons)
 		if err != nil {

@@ -20,9 +20,6 @@ type Identifier struct {
 	cons *constellation.Constellation
 	// MinElevationDeg is the visibility mask (default 25).
 	MinElevationDeg float64
-	// SampleStep spaces the candidate-track samples (default 1s, 16
-	// points per 15-second slot).
-	SampleStep time.Duration
 	// UseNaiveMatcher switches to the nearest-endpoint ablation
 	// baseline instead of DTW.
 	UseNaiveMatcher bool
@@ -33,8 +30,12 @@ func NewIdentifier(cons *constellation.Constellation) (*Identifier, error) {
 	if cons == nil {
 		return nil, fmt.Errorf("core: nil constellation")
 	}
-	return &Identifier{cons: cons, MinElevationDeg: 25, SampleStep: time.Second}, nil
+	return &Identifier{cons: cons, MinElevationDeg: 25}, nil
 }
+
+// sampleStep spaces the sky-track samples: 16 points per 15-second
+// slot, both ends included.
+const sampleStep = time.Second
 
 // Snapshot propagates the identifier's constellation to t. Live
 // captures share one snapshot per slot between the available-set
@@ -72,17 +73,21 @@ func (id *Identifier) CandidateTracksFromSnapshot(snap []constellation.SatState,
 }
 
 // CandidatePolarTracksFromSnapshot returns every in-view satellite's
-// sky-track over the slot in polar form, keyed by satellite ID — the
-// input for skyplot.Validation, the §4 manual-check rendering. Like
-// CandidateTracksFromSnapshot it reads the field of view from snap,
-// the constellation snapshot at slotStart, and propagates each in-view
-// satellite across the slot exactly once.
-func (id *Identifier) CandidatePolarTracksFromSnapshot(snap []constellation.SatState, vp geo.VantagePoint, slotStart time.Time) map[int][]obstruction.PolarPoint {
+// above-mask sky-track over the slot in polar form, keyed by satellite
+// ID — the input for skyplot.Validation, the §4 manual-check rendering.
+// Like CandidateTracksFromSnapshot it reads the field of view from
+// snap, the constellation snapshot at slotStart, propagates each
+// in-view satellite across the slot exactly once, and also returns the
+// number of in-view candidates dropped because propagation failed
+// mid-slot.
+func (id *Identifier) CandidatePolarTracksFromSnapshot(snap []constellation.SatState, vp geo.VantagePoint, slotStart time.Time) (map[int][]obstruction.PolarPoint, int) {
 	fov := constellation.ObserveFrom(vp.Location, snap, id.MinElevationDeg)
 	out := make(map[int][]obstruction.PolarPoint, len(fov))
+	dropped := 0
 	for _, v := range fov {
-		pts, err := id.samplePolarTrack(v.Sat, vp.Location, slotStart)
+		pts, err := samplePolarTrack(v.Sat, vp.Location, slotStart)
 		if err != nil {
+			dropped++
 			continue
 		}
 		var masked []obstruction.PolarPoint
@@ -95,53 +100,50 @@ func (id *Identifier) CandidatePolarTracksFromSnapshot(snap []constellation.SatS
 			out[v.Sat.ID] = masked
 		}
 	}
-	return out
+	return out, dropped
 }
 
-// samplePolarTrack samples one satellite's look angles across the
-// slot, below-mask points included. A propagation error aborts the
-// track: the caller decides whether that means "drop the candidate"
-// or "fail the call".
-func (id *Identifier) samplePolarTrack(sat *constellation.Satellite, obs astro.Geodetic, slotStart time.Time) ([]obstruction.PolarPoint, error) {
-	var pts []obstruction.PolarPoint
-	for dt := time.Duration(0); dt <= scheduler.Period; dt += id.SampleStep {
-		t := slotStart.Add(dt)
-		st, err := sat.Propagator.PropagateAt(t)
-		if err != nil {
-			return nil, fmt.Errorf("core: propagate %d: %w", sat.ID, err)
-		}
-		posECEF, _ := astro.TEMEToECEF(st.Pos, st.Vel, t)
-		la := astro.Observe(obs, posECEF)
-		pts = append(pts, obstruction.PolarPoint{
-			ElevationDeg: la.ElevationDeg,
-			AzimuthDeg:   la.AzimuthDeg,
-		})
+// slotTrack samples one satellite's look angles across the slot,
+// below-mask points included. A propagation error aborts the track:
+// the caller decides whether that means "drop the candidate" or "fail
+// the call".
+func slotTrack(sat *constellation.Satellite, obs astro.Geodetic, slotStart time.Time) ([]astro.LookAngles, error) {
+	looks, err := sat.Track(obs, slotStart, scheduler.Period, sampleStep)
+	if err != nil {
+		return nil, fmt.Errorf("core: propagate %d: %w", sat.ID, err)
+	}
+	return looks, nil
+}
+
+// samplePolarTrack is slotTrack in polar form.
+func samplePolarTrack(sat *constellation.Satellite, obs astro.Geodetic, slotStart time.Time) ([]obstruction.PolarPoint, error) {
+	looks, err := slotTrack(sat, obs, slotStart)
+	if err != nil {
+		return nil, err
+	}
+	pts := make([]obstruction.PolarPoint, len(looks))
+	for i, la := range looks {
+		pts[i] = obstruction.PolarPoint{ElevationDeg: la.ElevationDeg, AzimuthDeg: la.AzimuthDeg}
 	}
 	return pts, nil
 }
 
-// sampleTrack samples one satellite's look angles across the slot and
-// projects the above-mask points onto the plot plane. A propagation
-// error is surfaced, not conflated with "below the mask all slot": a
-// transient SGP4 failure mid-slot must not silently delete a possibly
-// true serving satellite from the candidate set.
+// sampleTrack is slotTrack's above-mask points projected onto the plot
+// plane. A propagation error is surfaced, not conflated with "below
+// the mask all slot": a transient SGP4 failure mid-slot must not
+// silently delete a possibly true serving satellite from the candidate
+// set.
 func (id *Identifier) sampleTrack(sat *constellation.Satellite, obs astro.Geodetic, slotStart time.Time) ([]dtw.Point, error) {
-	var out []dtw.Point
-	for dt := time.Duration(0); dt <= scheduler.Period; dt += id.SampleStep {
-		t := slotStart.Add(dt)
-		st, err := sat.Propagator.PropagateAt(t)
-		if err != nil {
-			return nil, fmt.Errorf("core: propagate %d: %w", sat.ID, err)
-		}
-		posECEF, _ := astro.TEMEToECEF(st.Pos, st.Vel, t)
-		la := astro.Observe(obs, posECEF)
+	looks, err := slotTrack(sat, obs, slotStart)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]dtw.Point, 0, len(looks))
+	for _, la := range looks {
 		if la.ElevationDeg < id.MinElevationDeg {
 			continue
 		}
-		out = append(out, dtw.FromPolar(obstruction.PolarPoint{
-			ElevationDeg: la.ElevationDeg,
-			AzimuthDeg:   la.AzimuthDeg,
-		}))
+		out = append(out, dtw.FromPolar(obstruction.PolarPoint{ElevationDeg: la.ElevationDeg, AzimuthDeg: la.AzimuthDeg}))
 	}
 	return out, nil
 }
@@ -211,7 +213,7 @@ func (id *Identifier) ServingTrack(satID int, vp geo.VantagePoint, slotStart tim
 	if sat == nil {
 		return nil, fmt.Errorf("core: unknown satellite %d", satID)
 	}
-	return id.samplePolarTrack(sat, vp.Location, slotStart)
+	return samplePolarTrack(sat, vp.Location, slotStart)
 }
 
 // PaintServingTrack renders the serving satellite's sky-track for a

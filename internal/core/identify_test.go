@@ -38,8 +38,8 @@ func TestCandidateTracksSnapshotReuse(t *testing.T) {
 		t.Error("candidate tracks differ between a fresh and a shared snapshot")
 	}
 
-	polarPlain := fixture.ident.CandidatePolarTracksFromSnapshot(fresh, vp, start)
-	polarCache := fixture.ident.CandidatePolarTracksFromSnapshot(shared.States, vp, start)
+	polarPlain, _ := fixture.ident.CandidatePolarTracksFromSnapshot(fresh, vp, start)
+	polarCache, _ := fixture.ident.CandidatePolarTracksFromSnapshot(shared.States, vp, start)
 	if len(polarPlain) == 0 {
 		t.Fatal("no polar candidate tracks at the probe slot")
 	}
@@ -54,16 +54,6 @@ func TestCandidateTracksSnapshotReuse(t *testing.T) {
 type failingEphemeris struct {
 	inner sgp4.Ephemeris
 	fuse  *int // remaining successful calls; shared across copies
-}
-
-func (f failingEphemeris) Epoch() time.Time { return f.inner.Epoch() }
-
-func (f failingEphemeris) Propagate(tsince float64) (sgp4.State, error) {
-	if *f.fuse <= 0 {
-		return sgp4.State{}, errors.New("injected propagation failure")
-	}
-	*f.fuse--
-	return f.inner.Propagate(tsince)
 }
 
 func (f failingEphemeris) PropagateAt(t time.Time) (sgp4.State, error) {
@@ -133,6 +123,20 @@ func TestDroppedCandidatesSurfaced(t *testing.T) {
 		if c.ID == sat.ID {
 			t.Errorf("failed satellite %d still in candidate set", sat.ID)
 		}
+	}
+
+	// The polar path (the §4 manual-check view) counts the same drop,
+	// here with the failure landing mid-slot after seven good samples.
+	fuse = 7
+	polar, polarDropped := ident.CandidatePolarTracksFromSnapshot(snap, vp, slotStart)
+	if polarDropped != 1 {
+		t.Errorf("polar dropped = %d, want 1", polarDropped)
+	}
+	if _, ok := polar[sat.ID]; ok {
+		t.Errorf("failed satellite %d still in polar candidate set", sat.ID)
+	}
+	if fuse != 0 {
+		t.Errorf("fuse = %d after the polar pass, want the failure mid-slot", fuse)
 	}
 
 	// With every in-view propagator failing there are no candidates at

@@ -5,12 +5,11 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/astro"
 	"repro/internal/core"
 	"repro/internal/geo"
+	"repro/internal/netsim"
 	"repro/internal/scheduler"
 	"repro/internal/stats"
-	"repro/internal/units"
 )
 
 // Extensions: the paper's §8 future work, implemented.
@@ -324,22 +323,6 @@ func (e *Env) MotionVsReallocation(terminalName string, slots int) (*MotionResul
 		return nil, fmt.Errorf("experiments: unknown PoP %q", term.PoP)
 	}
 
-	// Propagation-only RTT for a satellite at time t, in ms.
-	propRTT := func(satID int, t time.Time) (float64, error) {
-		sat := e.Cons.ByID(satID)
-		if sat == nil {
-			return 0, fmt.Errorf("experiments: unknown satellite %d", satID)
-		}
-		st, err := sat.Propagator.PropagateAt(t)
-		if err != nil {
-			return 0, err
-		}
-		ecef, _ := astro.TEMEToECEF(st.Pos, st.Vel, t)
-		up := ecef.Sub(term.Location.ToECEF()).Norm()
-		down := ecef.Sub(pop.Location.ToECEF()).Norm()
-		return 2 * (up + down) / units.SpeedOfLightKmPerSec * 1000, nil
-	}
-
 	sched := e.NewScheduler()
 	var drifts, jumps []float64
 	prevID := 0
@@ -357,8 +340,9 @@ func (e *Env) MotionVsReallocation(terminalName string, slots int) (*MotionResul
 			prevID = 0
 			continue
 		}
-		rttStart, err1 := propRTT(alloc.SatID, slotStart)
-		rttEnd, err2 := propRTT(alloc.SatID, slotStart.Add(scheduler.Period))
+		sat := e.Cons.ByID(alloc.SatID)
+		rttStart, err1 := netsim.PropagationRTTms(sat, term.Location, pop.Location, slotStart)
+		rttEnd, err2 := netsim.PropagationRTTms(sat, term.Location, pop.Location, slotStart.Add(scheduler.Period))
 		if err1 != nil || err2 != nil {
 			prevID = 0
 			continue

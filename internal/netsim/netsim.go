@@ -176,15 +176,10 @@ func (p *Path) Probe(t time.Time) (Sample, error) {
 	}
 
 	sat := p.cfg.Constellation.ByID(p.slotAlloc.SatID)
-	st, err := sat.Propagator.PropagateAt(t)
+	propMs, err := PropagationRTTms(sat, p.cfg.Terminal.Location, p.cfg.PoP.Location, t)
 	if err != nil {
 		return s, fmt.Errorf("netsim: propagate %d: %w", sat.ID, err)
 	}
-	satECEF, _ := astro.TEMEToECEF(st.Pos, st.Vel, t)
-
-	upKm := satECEF.Sub(p.cfg.Terminal.Location.ToECEF()).Norm()
-	downKm := satECEF.Sub(p.cfg.PoP.Location.ToECEF()).Norm()
-	propMs := 2 * (upKm + downKm) / units.SpeedOfLightKmPerSec * 1000
 
 	macMs := float64(p.slotMAC.FrameDelay(p.cfg.Terminal.Name, t)) / float64(time.Millisecond)
 	jitter := p.rng.NormFloat64() * p.cfg.JitterStdMs
@@ -194,6 +189,21 @@ func (p *Path) Probe(t time.Time) (Sample, error) {
 		s.RTTms = 0
 	}
 	return s, nil
+}
+
+// PropagationRTTms is the propagation-only round trip through sat at
+// t, in ms: terminal → satellite → PoP ground station and back at the
+// speed of light, with no MAC, wired, base or jitter term. A
+// propagation error is returned as the propagator reported it.
+func PropagationRTTms(sat *constellation.Satellite, terminal, pop astro.Geodetic, t time.Time) (float64, error) {
+	st, err := sat.Propagator.PropagateAt(t)
+	if err != nil {
+		return 0, err
+	}
+	satECEF := astro.FrameAt(t).ToECEF(st.Pos)
+	upKm := satECEF.Sub(terminal.ToECEF()).Norm()
+	downKm := satECEF.Sub(pop.ToECEF()).Norm()
+	return 2 * (upKm + downKm) / units.SpeedOfLightKmPerSec * 1000, nil
 }
 
 // Trace samples the path at the given cadence over [start, start+dur).

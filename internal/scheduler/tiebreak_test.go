@@ -17,14 +17,9 @@ import (
 // fixedEph propagates to one fixed TEME position at every time —
 // synthetic geometry for deterministic-ordering tests.
 type fixedEph struct {
-	pos   units.Vec3
-	epoch time.Time
+	pos units.Vec3
 }
 
-func (f fixedEph) Epoch() time.Time { return f.epoch }
-func (f fixedEph) Propagate(float64) (sgp4.State, error) {
-	return sgp4.State{Pos: f.pos}, nil
-}
 func (f fixedEph) PropagateAt(time.Time) (sgp4.State, error) {
 	return sgp4.State{Pos: f.pos}, nil
 }
@@ -46,7 +41,7 @@ func TestAllocateScoreTieBreak(t *testing.T) {
 				ID:         id,
 				Name:       "TIE",
 				Launch:     epoch,
-				Propagator: fixedEph{pos: pos, epoch: epoch},
+				Propagator: fixedEph{pos: pos},
 			})
 		}
 		cons := &constellation.Constellation{Sats: sats, Epoch: epoch}
@@ -54,7 +49,7 @@ func TestAllocateScoreTieBreak(t *testing.T) {
 		// Place the terminal at the shared sub-satellite point so both
 		// satellites sit at the zenith: identical elevation, identical
 		// score terms. Zero noise, no GSO/battery/bent-pipe terms.
-		ecef, _ := astro.TEMEToECEF(pos, units.Vec3{}, slot)
+		ecef := astro.FrameAt(slot).ToECEF(pos)
 		sub := astro.ECEFToGeodetic(ecef)
 		term := Terminal{VantagePoint: geo.VantagePoint{
 			Name:     "tie-term",

@@ -55,23 +55,9 @@ func NewKeplerJ2(t *tle.TLE) (*KeplerJ2, error) {
 	return k, nil
 }
 
-// Epoch returns the element-set epoch.
-func (k *KeplerJ2) Epoch() time.Time { return k.epoch }
-
 // PropagateAt propagates to an absolute time.
 func (k *KeplerJ2) PropagateAt(t time.Time) (State, error) {
 	return k.Propagate(t.Sub(k.epoch).Minutes())
-}
-
-// PropagateAtInto is PropagateAt writing into caller-owned scratch
-// (see Propagator.PropagateAtInto).
-func (k *KeplerJ2) PropagateAtInto(t time.Time, st *State) error {
-	s, err := k.Propagate(t.Sub(k.epoch).Minutes())
-	if err != nil {
-		return err
-	}
-	*st = s
-	return nil
 }
 
 // Propagate advances tsince minutes past the epoch.
@@ -130,29 +116,15 @@ func (k *KeplerJ2) Propagate(tsince float64) (State, error) {
 }
 
 // Ephemeris is the propagation interface shared by the full SGP4
-// implementation and the KeplerJ2 ablation baseline.
+// implementation and the KeplerJ2 ablation baseline: the TEME state at
+// an absolute time. It is the one propagation call every sweep, track
+// and RTT model goes through. The State is returned by value, so a
+// caller's state stays on its stack even through the interface call.
 type Ephemeris interface {
-	Epoch() time.Time
-	Propagate(tsinceMinutes float64) (State, error)
 	PropagateAt(t time.Time) (State, error)
 }
 
-// ScratchEphemeris is the optional fast path of Ephemeris: propagators
-// that can write the state into caller-owned scratch. Both built-in
-// propagators implement it; injected test propagators need not. Batch
-// sweeps (the constellation snapshot loop) devirtualize to the two
-// concrete types rather than asserting this interface — passing the
-// scratch pointer through an interface call would defeat escape
-// analysis and put the scratch back on the heap — so the interface
-// serves as the compile-time contract that both propagators keep
-// offering the Into form.
-type ScratchEphemeris interface {
-	PropagateAtInto(t time.Time, st *State) error
-}
-
 var (
-	_ Ephemeris        = (*Propagator)(nil)
-	_ Ephemeris        = (*KeplerJ2)(nil)
-	_ ScratchEphemeris = (*Propagator)(nil)
-	_ ScratchEphemeris = (*KeplerJ2)(nil)
+	_ Ephemeris = (*Propagator)(nil)
+	_ Ephemeris = (*KeplerJ2)(nil)
 )

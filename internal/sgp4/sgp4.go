@@ -218,26 +218,9 @@ func New(t *tle.TLE) (*Propagator, error) {
 	return p, nil
 }
 
-// Epoch returns the element-set epoch the propagation time is measured
-// from.
-func (p *Propagator) Epoch() time.Time { return p.epoch }
-
 // PropagateAt propagates to an absolute time.
 func (p *Propagator) PropagateAt(t time.Time) (State, error) {
 	return p.Propagate(t.Sub(p.epoch).Minutes())
-}
-
-// PropagateAtInto is PropagateAt writing the state into caller-owned
-// scratch — the snapshot hot loop's entry point. On error the scratch
-// is left untouched; on success it holds exactly what PropagateAt
-// would have returned.
-func (p *Propagator) PropagateAtInto(t time.Time, st *State) error {
-	s, err := p.Propagate(t.Sub(p.epoch).Minutes())
-	if err != nil {
-		return err
-	}
-	*st = s
-	return nil
 }
 
 // Propagate advances the mean elements tsince minutes past the epoch
